@@ -59,6 +59,7 @@ from repro.net.simulator import Network
 from repro.net.trace import EventKind
 from repro.openflow.errors import InstallError
 from repro.openflow.packet import LOCAL_PORT, Packet
+from repro.openflow.switch import Switch
 
 #: Attempt outcomes recorded in the epoch ledger.
 ACCEPTED = "accepted"
@@ -680,8 +681,6 @@ class SupervisedRuntime:
            when *max_rounds* of reprogramming never reached that fixed
            point.
         """
-        from repro.core.compiler import compile_service
-
         epoch_before = self.clock.current
         epoch_after = self.clock.resync(margin)
         snap = self.snapshot(root)
@@ -694,6 +693,7 @@ class SupervisedRuntime:
             relearned_links=set(snap.links),
             topology_degraded=snap.degraded,
         )
+        expected_programs: dict = {}
         for _round in range(max_rounds):
             report.rounds += 1
             entries: list[SwitchResync] = []
@@ -715,20 +715,17 @@ class SupervisedRuntime:
                             SwitchResync(node, service.name, RESYNC_UNREACHABLE)
                         )
                         continue
-                    expected = compile_service(
-                        self.network,
-                        node,
-                        service,
-                        fast_path=getattr(engine, "fast_path", None),
+                    expected, digest = self._expected_program(
+                        expected_programs, key, node
                     )
-                    if (
-                        installed[node].inventory_digest()
-                        == expected.inventory_digest()
-                    ):
+                    if installed[node].inventory_digest() == digest:
                         entries.append(
                             SwitchResync(node, service.name, RESYNC_OK)
                         )
                         continue
+                    # Installing consumes the expected switch: a later round
+                    # must check the node against a fresh compile.
+                    del expected_programs[key, node]
                     installed[node] = expected
                     self.network.set_handler(node, expected.process)
                     entries.append(
@@ -741,6 +738,31 @@ class SupervisedRuntime:
                 report.converged = True
                 break
         return report
+
+    def _expected_program(
+        self, memo: dict, key: str, node: int
+    ) -> tuple[Switch, str]:
+        """The program static configuration prescribes for *node* under
+        supervisor *key*, with its inventory digest.
+
+        Both depend only on the service definition and the topology, so one
+        repair call (:meth:`resynchronize` or :meth:`readopt`, which owns
+        *memo*) compiles and digests each ``(engine, node)`` at most once,
+        however many rounds it runs.
+        """
+        from repro.core.compiler import compile_service
+
+        hit = memo.get((key, node))
+        if hit is None:
+            supervisor = self._supervisors[key]
+            expected = compile_service(
+                self.network,
+                node,
+                supervisor.service,
+                fast_path=getattr(supervisor.engine, "fast_path", None),
+            )
+            hit = memo[key, node] = (expected, expected.inventory_digest())
+        return hit
 
     # -- switch re-adoption ----------------------------------------------- #
 
@@ -787,10 +809,9 @@ class SupervisedRuntime:
         ``converged`` means every *reachable, up* switch matched its
         expected digest in the final sweep.
         """
-        from repro.core.compiler import compile_service
-
         report = ReadoptReport(converged=False, rounds=0)
         pending = {"drifted": 0}
+        expected_programs: dict = {}
 
         def sweep(round_index: int) -> None:
             drifted = 0
@@ -828,16 +849,10 @@ class SupervisedRuntime:
                         if node not in dark:
                             dark.append(node)
                         continue
-                    expected = compile_service(
-                        self.network,
-                        node,
-                        service,
-                        fast_path=getattr(engine, "fast_path", None),
+                    expected, digest = self._expected_program(
+                        expected_programs, key, node
                     )
-                    if (
-                        switch.inventory_digest()
-                        == expected.inventory_digest()
-                    ):
+                    if switch.inventory_digest() == digest:
                         report.attempts.append(
                             ReadoptAttempt(
                                 round_index, node, service.name, READOPT_OK
@@ -867,10 +882,7 @@ class SupervisedRuntime:
                     # A completed push matches by construction, but a
                     # paranoid controller re-verifies the digest rather
                     # than trusting its own bookkeeping.
-                    if (
-                        switch.inventory_digest()
-                        != expected.inventory_digest()
-                    ):
+                    if switch.inventory_digest() != digest:
                         drifted += 1
                         if node not in still_drifted:
                             still_drifted.append(node)

@@ -28,6 +28,19 @@ Pipeline layout (table ids)::
     4  VERIFY_SWEEP   blackhole phase B: table-driven sweep + counter fetch
     5  VERIFY_CHECK   blackhole phase B: fetched-value test, report on 1
 
+How a node's program is produced (DESIGN.md, "The compiler")
+-------------------------------------------------------------
+
+A program is *assembled*, not derived rule by rule.  :class:`Codegen` makes
+every loop-invariant piece once — the per-node field tests and per-port hook
+action tuples ("atoms"), and per degree the row plan of the big tables
+(:func:`sweep_rows`, the blackhole verify tables), shared by every node of
+that degree through ``Network.compile_plans`` — so a rule costs one match,
+one instruction set (often a shared one) and one entry, and a bucket one
+object over a shared action tuple.  Rules and groups collect in lists and
+reach the switch in a single
+:meth:`~repro.openflow.switch.Switch.load_program`.
+
 Known fidelity limits (documented in DESIGN.md):
 
 * blackhole phase B selects ports in tables (a counter fetch must be
@@ -38,7 +51,7 @@ Known fidelity limits (documented in DESIGN.md):
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from repro.core.fields import (
     FIELD_FIRST_PORT,
@@ -79,7 +92,7 @@ from repro.core.services.critical import (
     CriticalNodeService,
 )
 from repro.core.services.snapshot import ChunkedSnapshotService, SnapshotService
-from repro.core.smart_counter import build_counter_group
+from repro.core.smart_counter import counter_group, counter_writes
 from repro.net.simulator import Network
 from repro.openflow.actions import (
     Action,
@@ -91,6 +104,8 @@ from repro.openflow.actions import (
     PushLabel,
     SetField,
 )
+from repro.openflow.flowtable import FlowEntry
+from repro.openflow.group import Bucket, Group, GroupType
 from repro.openflow.match import FieldTest, Match, encode_range
 from repro.openflow.packet import CONTROLLER_PORT, IN_PORT, LOCAL_PORT
 from repro.openflow.switch import Switch
@@ -134,13 +149,6 @@ def match_meta_sweep(s: int, **exact: int) -> Match:
     return Match([FieldTest("metadata", s, META_SWEEP_MASK)], **exact)
 
 
-def match_meta_verify(port: int, kind: int, **exact: int) -> Match:
-    value = (port << META_PORT_SHIFT) | (kind << META_KIND_SHIFT)
-    return Match(
-        [FieldTest("metadata", value, META_PORT_MASK | META_KIND_MASK)], **exact
-    )
-
-
 class FinishVariant:
     """One root-finish behaviour: extra match fields select it, and its
     actions become the terminal bucket of the root's sweep groups."""
@@ -153,8 +161,29 @@ class FinishVariant:
         self.priority = priority
 
 
+#: The plain "return the packet where it came from" action tuple.
+BOUNCE: tuple[Action, ...] = (Output(IN_PORT),)
+
+
 class Codegen:
     """Per-node emission context shared by the service code generators.
+
+    A node's program is *assembled* here, not installed: rules collect in
+    per-table entry lists and groups in one list (both owned by the caller,
+    so several service blocks can fill the same program), and the whole
+    program reaches the switch in one
+    :meth:`~repro.openflow.switch.Switch.load_program`.
+
+    The context also holds the **atoms** rules are assembled from — every
+    :class:`FieldTest` and per-port action tuple a node's O(Δ²) rules and
+    O(Δ³) buckets keep reusing is made (and validated) once:
+
+    * per node: ``par_is[p]`` / ``cur_is[c]`` (tests on this node's parent
+      and current-port tags) and ``forward[q]`` (mark port *q* current and
+      send there);
+    * per degree, shared by every node of that degree through *plans*:
+      ``in_port_is[p]``, ``sweep_is[s]`` (the metadata sweep-start test)
+      and whatever row plans the generators ask :meth:`shared` for.
 
     ``table_base`` and ``group_base`` relocate a service's whole pipeline
     block, so several services can share one switch (multi-service install,
@@ -164,22 +193,50 @@ class Codegen:
 
     def __init__(
         self,
-        switch: Switch,
         node: int,
         deg: int,
         service: Service,
+        tables: dict[int, list[FlowEntry]],
+        groups: list[Group],
+        plans: dict,
         table_base: int = 0,
         group_base: int = 0,
     ) -> None:
-        self.switch = switch
         self.node = node
         self.deg = deg
         self.service = service
+        self.tables = tables
+        self.groups = groups
+        self.plans = plans
         self.table_base = table_base
         self.group_base = group_base
         self.par = par_field(node)
         self.cur = cur_field(node)
         self._next_group = group_base + SWEEP_GROUP_BASE
+        self.par_is = [FieldTest(self.par, p) for p in range(deg + 1)]
+        self.cur_is = [FieldTest(self.cur, c) for c in range(deg + 1)]
+        self.forward: list[tuple[Action, ...]] = [()] + [
+            (SetField(self.cur, q), Output(q)) for q in range(1, deg + 1)
+        ]
+        self.in_port_is: list[FieldTest] = self.shared(
+            "in_port", lambda: [FieldTest("in_port", p) for p in range(deg + 1)]
+        )
+        self.sweep_is: list[FieldTest] = self.shared(
+            "sweep_is",
+            lambda: [
+                FieldTest("metadata", s, META_SWEEP_MASK) for s in range(deg + 2)
+            ],
+        )
+
+    def shared(self, key, build: Callable[[], Any]):
+        """The node-independent piece *key*: built by the first node of this
+        degree and block placement, reused by every later one."""
+        key = (key, self.deg, self.table_base, self.group_base)
+        try:
+            return self.plans[key]
+        except KeyError:
+            piece = self.plans[key] = build()
+            return piece
 
     def alloc_group(self) -> int:
         gid = self._next_group
@@ -189,6 +246,38 @@ class Codegen:
     def counter_group_id(self, port: int) -> int:
         """The (relocated) smart-counter group id for *port*."""
         return self.group_base + COUNTER_GROUP_BASE + port
+
+    def add_group(self, group: Group) -> None:
+        self.groups.append(group)
+
+    def instructions(
+        self,
+        actions: Iterable[Action] = (),
+        goto: int | None = None,
+        meta: tuple[int, int] | None = None,
+    ) -> Instructions:
+        """Instructions with the logical *goto* table id relocated."""
+        return Instructions(
+            tuple(actions),
+            None if goto is None else self.table_base + goto,
+            meta,
+        )
+
+    def entries(self, table: int) -> list[FlowEntry]:
+        """The entry list of logical *table* (for emitters that append
+        whole row plans; a list left empty creates no table)."""
+        return self.tables.setdefault(self.table_base + table, [])
+
+    def add(
+        self,
+        table: int,
+        match: Match,
+        instructions: Instructions,
+        priority: int = 0,
+        cookie: str = "",
+    ) -> None:
+        """Append one rule (ready-made instructions) to logical *table*."""
+        self.entries(table).append(FlowEntry(match, instructions, priority, cookie))
 
     def install(
         self,
@@ -200,17 +289,68 @@ class Codegen:
         priority: int = 0,
         cookie: str = "",
     ) -> None:
-        self.switch.install(
-            self.table_base + table,
-            match,
-            Instructions(
-                apply_actions=tuple(actions),
-                goto_table=None if goto is None else self.table_base + goto,
-                write_metadata=meta,
-            ),
-            priority=priority,
-            cookie=cookie,
+        self.add(
+            table, match, self.instructions(actions, goto, meta), priority, cookie
         )
+
+
+class SweepRow(NamedTuple):
+    """One row of the sweep table, as far as the degree alone decides it."""
+
+    #: Sweep start port (the metadata value matched).
+    s: int
+    #: Parent port matched; 0 marks a root row.
+    p: int
+    #: Finish-variant index of a root row (0 on other rows).
+    variant: int
+    #: Ports the row's fast-failover group probes, in bucket order; empty
+    #: when nothing is left to probe and the row acts without a group.
+    ports: tuple[int, ...]
+    cookie: str
+    #: The row's group id and its (shared) "apply that group" instructions;
+    #: 0 and None on a row without a group.
+    gid: int
+    instructions: Instructions | None
+
+
+def sweep_rows(
+    deg: int, variants: int, first_gid: int
+) -> tuple[list[SweepRow], int]:
+    """The sweep table's row plan for a node of degree *deg* whose root has
+    *variants* finish variants, in emission order; group ids count up from
+    *first_gid*, and the first id the plan leaves free is returned with it.
+
+    Start *s* probes ports ``max(s, 1)..deg`` in order, skipping the
+    parent; a root row exists per finish variant (a variant index in the
+    cookie keeps per-entry diagnostics unambiguous when there are several,
+    e.g. priocast's phase switch).  With no port left — ``s = deg + 1``,
+    or any start on an isolated node — the row finishes (root) or returns
+    to the parent through plain table actions.
+    """
+    rows: list[SweepRow] = []
+    gid = first_gid
+
+    def row(s: int, p: int, variant: int, ports: tuple[int, ...], cookie: str):
+        nonlocal gid
+        if ports:
+            apply_group = Instructions((GroupAction(gid),))
+            rows.append(SweepRow(s, p, variant, ports, cookie, gid, apply_group))
+            gid += 1
+        else:
+            rows.append(SweepRow(s, p, variant, (), cookie, 0, None))
+
+    for s in range(deg + 2):
+        ports = tuple(range(max(s, 1), deg + 1))
+        kind = "root" if ports else "root_finish"
+        for index in range(variants):
+            suffix = f":v{index}" if variants > 1 else ""
+            row(s, 0, index, ports, f"sweep:{kind}:s{s}{suffix}")
+        if s >= 1:
+            for p in range(1, deg + 1):
+                ports = tuple(q for q in range(s, deg + 1) if q != p)
+                kind = "sweep" if ports else "sweep:parent"
+                row(s, p, 0, ports, f"{kind}:s{s}:p{p}")
+    return rows, gid
 
 
 class ServiceCodegen:
@@ -218,7 +358,10 @@ class ServiceCodegen:
 
     Subclasses override the hook-action providers (mirroring Table 1's
     columns) or whole emission phases when the service changes the template
-    control flow (blackhole's echo protocol).
+    control flow (blackhole's echo protocol).  Providers are pure functions
+    of their compile-time-constant arguments: the emitter asks each one
+    once per port and node and reuses the answer in every rule and bucket
+    that needs it.
     """
 
     #: Does this service route first visits through the BID table?
@@ -269,6 +412,7 @@ class ServiceCodegen:
     def emit_classify(self, cg: Codegen) -> None:
         """T_CLASSIFY: the generic Algorithm 1 state decode."""
         after = T_BID if self.uses_bid_table else T_SWEEP
+        in_port, cur, par = cg.in_port_is, cg.cur_is, cg.par_is
         # Trigger (start = 0): this node becomes the DFS root.
         cg.install(
             T_CLASSIFY,
@@ -284,7 +428,7 @@ class ServiceCodegen:
         for p in range(1, self.deg + 1):
             cg.install(
                 T_CLASSIFY,
-                Match(**{cg.cur: 0, "in_port": p}),
+                Match((cur[0], in_port[p])),
                 actions=[SetField(cg.par, p)] + self.first_visit_actions(p),
                 meta=meta_sweep(1),
                 goto=after,
@@ -298,7 +442,7 @@ class ServiceCodegen:
             if root_actions != plain_actions:
                 cg.install(
                     T_CLASSIFY,
-                    Match(**{cg.cur: c, "in_port": c, cg.par: 0}),
+                    Match((cur[c], in_port[c], par[0])),
                     actions=root_actions,
                     meta=meta_sweep(c + 1),
                     goto=T_SWEEP,
@@ -307,7 +451,7 @@ class ServiceCodegen:
                 )
             cg.install(
                 T_CLASSIFY,
-                Match(**{cg.cur: c, "in_port": c}),
+                Match((cur[c], in_port[c])),
                 actions=plain_actions,
                 meta=meta_sweep(c + 1),
                 goto=T_SWEEP,
@@ -322,11 +466,7 @@ class ServiceCodegen:
     def emit_bounce_rules(self, cg: Codegen) -> None:
         """Visit_not_from_cur: default just returns the packet."""
         cg.install(
-            T_CLASSIFY,
-            Match(),
-            actions=[Output(IN_PORT)],
-            priority=5,
-            cookie="classify:bounce",
+            T_CLASSIFY, Match(), actions=BOUNCE, priority=5, cookie="classify:bounce"
         )
 
     def emit_bid_table(self, cg: Codegen) -> None:
@@ -338,90 +478,59 @@ class ServiceCodegen:
     # -- the generic sweep table and its fast-failover groups --------------
 
     def emit_sweep(self, cg: Codegen) -> None:
-        deg = self.deg
-        variants = self.finish_variants()
-        for s in range(0, deg + 2):
-            if s == 0 or 1 <= s <= deg + 1:
-                self._emit_root_row(cg, s, variants)
-            if 1 <= s:
-                for p in range(1, deg + 1):
-                    self._emit_nonroot_row(cg, s, p)
+        """T_SWEEP: one fast-failover group per (sweep start, parent) row.
 
-    def _probe_bucket(self, cg: Codegen, q: int, rootfirst: bool):
-        from repro.openflow.group import Bucket
-
-        actions: list[Action] = []
-        if rootfirst:
-            actions += self.rootfirst_actions(q)
-        actions += self.send_next_actions(q)
-        actions += [SetField(cg.cur, q), Output(q)]
-        return Bucket(actions=actions, watch_port=q)
-
-    def _emit_root_row(
-        self, cg: Codegen, s: int, variants: list[FinishVariant]
-    ) -> None:
-        from repro.openflow.group import Bucket, Group, GroupType
-
-        deg = self.deg
-        first = max(s, 1)
-        for index, variant in enumerate(variants):
-            # One entry per finish variant: a variant index in the cookie
-            # keeps per-entry diagnostics (verify / lint) unambiguous when a
-            # service has several variants (e.g. priocast's phase switch).
-            suffix = f":v{index}" if len(variants) > 1 else ""
-            if s == deg + 1 or first > deg:
-                # No ports left to try: finish immediately via table actions.
-                cg.install(
-                    T_SWEEP,
-                    match_meta_sweep(s, **{cg.par: 0}, **variant.match),
-                    actions=list(variant.actions),
-                    priority=10 + variant.priority,
-                    cookie=f"sweep:root_finish:s{s}{suffix}",
-                )
-                continue
-            buckets = [
-                self._probe_bucket(cg, q, rootfirst=(s == 0))
-                for q in range(first, deg + 1)
-            ]
-            buckets.append(Bucket(actions=variant.actions, watch_port=None))
-            gid = cg.alloc_group()
-            cg.switch.add_group(Group(gid, GroupType.FF, buckets))
-            cg.install(
-                T_SWEEP,
-                match_meta_sweep(s, **{cg.par: 0}, **variant.match),
-                actions=[GroupAction(gid)],
-                priority=10 + variant.priority,
-                cookie=f"sweep:root:s{s}{suffix}",
+        Which rows exist and which ports each group lists depends on the
+        degree alone (:func:`sweep_rows`, planned once per degree); what a
+        bucket *does* depends on the node, and is asked of the hook
+        providers once per port: ``probe[q]`` sends to port *q*,
+        ``probe_root[q]`` is the root's very first send, ``parent[p]``
+        returns to parent port *p*.  A row then costs one match, one entry,
+        one group and one bucket per listed port, all over those tuples.
+        """
+        ports = range(1, self.deg + 1)
+        forward = cg.forward
+        probe = [()] + [
+            (*self.send_next_actions(q), *forward[q]) for q in ports
+        ]
+        probe_root = [()] + [
+            (*self.rootfirst_actions(q), *probe[q]) for q in ports
+        ]
+        parent = [()] + [
+            (*self.send_parent_actions(p), *forward[p]) for p in ports
+        ]
+        finish = [
+            (
+                tuple(FieldTest(name, value) for name, value in variant.match.items()),
+                variant.actions,
+                10 + variant.priority,
             )
-
-    def _emit_nonroot_row(self, cg: Codegen, s: int, p: int) -> None:
-        from repro.openflow.group import Bucket, Group, GroupType
-
-        deg = self.deg
-        parent_actions = (
-            self.send_parent_actions(p) + [SetField(cg.cur, p), Output(p)]
+            for variant in self.finish_variants()
+        ]
+        first_gid = cg._next_group
+        rows: list[SweepRow]
+        rows, cg._next_group = cg.shared(
+            ("sweep", len(finish), first_gid),
+            lambda: sweep_rows(self.deg, len(finish), first_gid),
         )
-        ports = [q for q in range(s, deg + 1) if q != p]
-        if not ports:
-            cg.install(
-                T_SWEEP,
-                match_meta_sweep(s, **{cg.par: p}),
-                actions=parent_actions,
-                priority=10,
-                cookie=f"sweep:parent:s{s}:p{p}",
-            )
-            return
-        buckets = [self._probe_bucket(cg, q, rootfirst=False) for q in ports]
-        buckets.append(Bucket(actions=parent_actions, watch_port=None))
-        gid = cg.alloc_group()
-        cg.switch.add_group(Group(gid, GroupType.FF, buckets))
-        cg.install(
-            T_SWEEP,
-            match_meta_sweep(s, **{cg.par: p}),
-            actions=[GroupAction(gid)],
-            priority=10,
-            cookie=f"sweep:s{s}:p{p}",
-        )
+        sweep_is, par_is = cg.sweep_is, cg.par_is
+        groups, entries = cg.groups, cg.entries(T_SWEEP)
+        for s, p, variant, listed, cookie, gid, instructions in rows:
+            if p:
+                tests = (sweep_is[s], par_is[p])
+                terminal, priority = parent[p], 10
+            else:
+                extra, terminal, priority = finish[variant]
+                tests = (sweep_is[s], par_is[0], *extra)
+            if listed:
+                sends = probe if s else probe_root
+                buckets = [Bucket(sends[q], q) for q in listed]
+                buckets.append(Bucket(terminal))
+                groups.append(Group(gid, GroupType.FF, buckets))
+            else:
+                # No ports left to try: act through table actions.
+                instructions = Instructions(terminal)
+            entries.append(FlowEntry(Match(tests), instructions, priority, cookie))
 
 
 # --------------------------------------------------------------------- #
@@ -464,31 +573,32 @@ class SnapshotCodegen(ServiceCodegen):
 
     def emit_bounce_rules(self, cg: Codegen) -> None:
         deg = self.deg
-        bounce = [Output(IN_PORT)]
+        in_port, cur, par = cg.in_port_is, cg.cur_is, cg.par_is
         # Known edge: pop the sender's record.  Three rule families encode
         # "in < cur or cur = par or in = par" without field comparisons.
+        pop_bounce = cg.instructions((PopLabel(), *BOUNCE))
         for p in range(1, deg + 1):
-            cg.install(
+            cg.add(
                 T_CLASSIFY,
-                Match(**{"in_port": p, cg.par: p}),
-                actions=[PopLabel()] + bounce,
+                Match((in_port[p], par[p])),
+                pop_bounce,
                 priority=8,
                 cookie=f"classify:bounce_par:{p}",
             )
         for c in range(1, deg + 1):
-            cg.install(
+            cg.add(
                 T_CLASSIFY,
-                Match(**{cg.cur: c, cg.par: c}),
-                actions=[PopLabel()] + bounce,
+                Match((cur[c], par[c])),
+                pop_bounce,
                 priority=7,
                 cookie=f"classify:bounce_done:{c}",
             )
         for c in range(2, deg + 1):
             for p in range(1, c):
-                cg.install(
+                cg.add(
                     T_CLASSIFY,
-                    Match(**{"in_port": p, cg.cur: c}),
-                    actions=[PopLabel()] + bounce,
+                    Match((in_port[p], cur[c])),
+                    pop_bounce,
                     priority=6,
                     cookie=f"classify:bounce_lt:{p}<{c}",
                 )
@@ -496,8 +606,8 @@ class SnapshotCodegen(ServiceCodegen):
         for p in range(1, deg + 1):
             cg.install(
                 T_CLASSIFY,
-                Match(**{"in_port": p}),
-                actions=self._push(("visit", self.node, p)) + bounce,
+                Match((in_port[p],)),
+                actions=self._push(("visit", self.node, p)) + list(BOUNCE),
                 priority=5,
                 cookie=f"classify:bounce_new:{p}",
             )
@@ -510,10 +620,11 @@ class ChunkedSnapshotCodegen(SnapshotCodegen):
         return [PushLabel(record), DecTtl(FIELD_RECCAP)]
 
     def emit_dispatch(self, cg: Codegen) -> None:
+        exhausted = FieldTest(FIELD_RECCAP, 0)
         for p in range(1, self.deg + 1):
             cg.install(
                 T_DISPATCH,
-                Match(**{FIELD_RECCAP: 0, "in_port": p}),
+                Match((exhausted, cg.in_port_is[p])),
                 actions=[
                     SetField(FIELD_REPORT_IN, p),
                     Output(CONTROLLER_PORT),
@@ -554,27 +665,23 @@ class PriocastCodegen(ServiceCodegen):
 
     def emit_classify_overrides(self, cg: Codegen) -> None:
         # Phase-2 entry: the packet arrives from the parent port again.
-        service: PriocastService = self.service  # type: ignore[assignment]
+        phase2 = FieldTest(FIELD_START, 2)
+        winner = FieldTest(FIELD_OPT_ID, self.node + 1)
+        deliver = cg.instructions((Output(LOCAL_PORT),))
+        restart = cg.instructions(goto=T_SWEEP, meta=meta_sweep(1))
         for p in range(1, self.deg + 1):
-            cg.install(
+            in_port, par = cg.in_port_is[p], cg.par_is[p]
+            cg.add(
                 T_CLASSIFY,
-                Match(
-                    **{
-                        FIELD_START: 2,
-                        "in_port": p,
-                        cg.par: p,
-                        FIELD_OPT_ID: self.node + 1,
-                    }
-                ),
-                actions=[Output(LOCAL_PORT)],
+                Match((phase2, in_port, par, winner)),
+                deliver,
                 priority=90,
                 cookie=f"classify:p2_deliver:{p}",
             )
-            cg.install(
+            cg.add(
                 T_CLASSIFY,
-                Match(**{FIELD_START: 2, "in_port": p, cg.par: p}),
-                meta=meta_sweep(1),
-                goto=T_SWEEP,
+                Match((phase2, in_port, par)),
+                restart,
                 priority=85,
                 cookie=f"classify:p2_restart:{p}",
             )
@@ -650,25 +757,25 @@ class CriticalCodegen(ServiceCodegen):
     def emit_classify_overrides(self, cg: Codegen) -> None:
         # Root verdict: a toparent=1 return on a port other than firstport
         # means a second DFS child exists -> critical.
-        for c in range(1, self.deg + 1):
-            for f in range(1, self.deg + 1):
+        ports = range(1, self.deg + 1)
+        returned = FieldTest(FIELD_TO_PARENT, 1)
+        first_is = [FieldTest(FIELD_FIRST_PORT, f) for f in range(self.deg + 1)]
+        verdict = cg.instructions(
+            (
+                SetField(FIELD_CRITICAL, CRITICAL),
+                Output(self.service.report_destination),
+            )
+        )
+        root = cg.par_is[0]
+        for c in ports:
+            cur, in_port = cg.cur_is[c], cg.in_port_is[c]
+            for f in ports:
                 if f == c:
                     continue
-                cg.install(
+                cg.add(
                     T_CLASSIFY,
-                    Match(
-                        **{
-                            cg.par: 0,
-                            cg.cur: c,
-                            "in_port": c,
-                            FIELD_TO_PARENT: 1,
-                            FIELD_FIRST_PORT: f,
-                        }
-                    ),
-                    actions=[
-                        SetField(FIELD_CRITICAL, CRITICAL),
-                        Output(self.service.report_destination),
-                    ],
+                    Match((root, cur, in_port, returned, first_is[f])),
+                    verdict,
                     priority=60,
                     cookie=f"classify:critical:{c}",
                 )
@@ -689,10 +796,11 @@ class TtlCodegen(ServiceCodegen):
     """TTL blackhole probes: check-and-report, else decrement, in dispatch."""
 
     def emit_dispatch(self, cg: Codegen) -> None:
+        expired = FieldTest(FIELD_TTL, 0)
         for p in range(1, self.deg + 1):
             cg.install(
                 T_DISPATCH,
-                Match(**{FIELD_TTL: 0, "in_port": p}),
+                Match((expired, cg.in_port_is[p])),
                 actions=[
                     SetField(FIELD_BH, BH_FOUND),
                     SetField(FIELD_REPORT_IN, p),
@@ -703,7 +811,7 @@ class TtlCodegen(ServiceCodegen):
             )
         cg.install(
             T_DISPATCH,
-            Match(**{FIELD_TTL: 0}),
+            Match((expired,)),
             actions=[
                 SetField(FIELD_BH, BH_FOUND),
                 SetField(FIELD_REPORT_IN, 0),
@@ -750,7 +858,7 @@ class BlackholeCodegen(ServiceCodegen):
         for p in range(1, self.deg + 1):
             cg.install(
                 T_DISPATCH,
-                Match(**{"in_port": p}),
+                Match((cg.in_port_is[p],)),
                 actions=[self._count(p)],
                 goto=T_CLASSIFY,
                 priority=10,
@@ -770,19 +878,26 @@ class BlackholeCodegen(ServiceCodegen):
         return [FinishVariant({}, [])]
 
     def emit_classify(self, cg: Codegen) -> None:
-        deg = self.deg
+        ports = range(1, self.deg + 1)
         service: BlackholeService = self.service  # type: ignore[assignment]
         modulus = service.counter_modulus
         # Smart counters: one per port, shared by both phases.  The cursor
         # seed makes compiled installs replay-deterministic (satellite of
         # the model-checker PR): the checker assumes the same start value.
         start = getattr(service, "counter_start", 0)
-        for p in range(1, deg + 1):
-            cg.switch.add_group(
-                build_counter_group(
-                    self.counter_gid(p), modulus, FIELD_SCRATCH, start=start
-                )
-            )
+        writes = cg.shared(
+            ("counter_writes", modulus),
+            lambda: counter_writes(modulus, FIELD_SCRATCH),
+        )
+        for p in ports:
+            cg.add_group(counter_group(self.counter_gid(p), writes, start))
+
+        in_port, cur, par = cg.in_port_is, cg.cur_is, cg.par_is
+        count = [None] + [self._count(p) for p in ports]
+        probing, echoing, echoed, verifying = (
+            FieldTest(FIELD_REPEAT, phase)
+            for phase in (REPEAT_PROBE, REPEAT_ECHO, REPEAT_ECHO_BACK, REPEAT_VERIFY)
+        )
 
         # Triggers.
         cg.install(
@@ -804,25 +919,26 @@ class BlackholeCodegen(ServiceCodegen):
             cookie="classify:trigger",
         )
 
-        for p in range(1, deg + 1):
+        for p in ports:
+            adopt = SetField(cg.par, p)
             # First visit, probe phase: echo to the parent (count the send).
             cg.install(
                 T_CLASSIFY,
-                Match(**{cg.cur: 0, "in_port": p, FIELD_REPEAT: REPEAT_PROBE}),
-                actions=[
-                    SetField(cg.par, p),
+                Match((cur[0], in_port[p], probing)),
+                actions=(
+                    adopt,
                     SetField(FIELD_REPEAT, REPEAT_ECHO),
-                    self._count(p),
-                    Output(IN_PORT),
-                ],
+                    count[p],
+                    *BOUNCE,
+                ),
                 priority=52,
                 cookie=f"classify:first_echo:{p}",
             )
             # First visit, echo completed: resume the probe sweep.
             cg.install(
                 T_CLASSIFY,
-                Match(**{cg.cur: 0, "in_port": p, FIELD_REPEAT: REPEAT_ECHO_BACK}),
-                actions=[SetField(cg.par, p), SetField(FIELD_REPEAT, REPEAT_PROBE)],
+                Match((cur[0], in_port[p], echoed)),
+                actions=(adopt, SetField(FIELD_REPEAT, REPEAT_PROBE)),
                 meta=meta_sweep(1),
                 goto=T_SWEEP,
                 priority=52,
@@ -831,31 +947,31 @@ class BlackholeCodegen(ServiceCodegen):
             # First visit, verify phase: plain.
             cg.install(
                 T_CLASSIFY,
-                Match(**{cg.cur: 0, "in_port": p, FIELD_REPEAT: REPEAT_VERIFY}),
-                actions=[SetField(cg.par, p)],
+                Match((cur[0], in_port[p], verifying)),
+                actions=(adopt,),
                 meta=meta_sweep(1),
                 goto=T_VERIFY_SWEEP,
                 priority=52,
                 cookie=f"classify:first_verify:{p}",
             )
 
-        for c in range(1, deg + 1):
+        for c in ports:
             # Parent side of the echo: send the packet back to the child.
             cg.install(
                 T_CLASSIFY,
-                Match(**{cg.cur: c, "in_port": c, FIELD_REPEAT: REPEAT_ECHO}),
-                actions=[
+                Match((cur[c], in_port[c], echoing)),
+                actions=(
                     SetField(FIELD_REPEAT, REPEAT_ECHO_BACK),
-                    self._count(c),
-                    Output(IN_PORT),
-                ],
+                    count[c],
+                    *BOUNCE,
+                ),
                 priority=52,
                 cookie=f"classify:echo_return:{c}",
             )
             # Advance, probe phase.
             cg.install(
                 T_CLASSIFY,
-                Match(**{cg.cur: c, "in_port": c, FIELD_REPEAT: REPEAT_PROBE}),
+                Match((cur[c], in_port[c], probing)),
                 meta=meta_sweep(c + 1),
                 goto=T_SWEEP,
                 priority=50,
@@ -864,7 +980,7 @@ class BlackholeCodegen(ServiceCodegen):
             # Advance, verify phase.
             cg.install(
                 T_CLASSIFY,
-                Match(**{cg.cur: c, "in_port": c, FIELD_REPEAT: REPEAT_VERIFY}),
+                Match((cur[c], in_port[c], verifying)),
                 meta=meta_sweep(c + 1),
                 goto=T_VERIFY_SWEEP,
                 priority=50,
@@ -872,11 +988,11 @@ class BlackholeCodegen(ServiceCodegen):
             )
 
         # Bounces: count the return send; verify-phase bounces also check.
-        for p in range(1, deg + 1):
+        for p in ports:
             cg.install(
                 T_CLASSIFY,
-                Match(**{"in_port": p, FIELD_REPEAT: REPEAT_VERIFY}),
-                actions=[self._count(p)],
+                Match((in_port[p], verifying)),
+                actions=(count[p],),
                 meta=meta_verify(p, KIND_BOUNCE),
                 goto=T_VERIFY_CHECK,
                 priority=6,
@@ -884,104 +1000,108 @@ class BlackholeCodegen(ServiceCodegen):
             )
             cg.install(
                 T_CLASSIFY,
-                Match(**{"in_port": p}),
-                actions=[self._count(p), Output(IN_PORT)],
+                Match((in_port[p],)),
+                actions=(count[p], *BOUNCE),
                 priority=5,
                 cookie=f"classify:bounce:{p}",
             )
 
-    def emit_extra_tables(self, cg: Codegen) -> None:
+    def _verify_sweep_rows(self, cg: Codegen) -> list[tuple]:
+        """VERIFY_SWEEP's row plan ``(s, p, instructions, cookie)``:
+        table-driven port selection (no fast failover: a fetched counter
+        value can only be matched in a table, and a group bucket cannot
+        continue into a table).  Only the parent-tag test is per node."""
         deg = self.deg
-        # VERIFY_SWEEP: table-driven port selection (no fast failover: a
-        # fetched counter value can only be matched in a table, and a group
-        # bucket cannot continue into a table).
+        finish = cg.instructions(
+            (SetField(FIELD_BH, BH_DONE), Output(CONTROLLER_PORT))
+        )
+        rows = []
         for s in range(1, deg + 2):
             for p in range(0, deg + 1):
                 effective = s if s != p else s + 1
                 if effective <= deg:
-                    cg.install(
-                        T_VERIFY_SWEEP,
-                        match_meta_sweep(s, **{cg.par: p}),
-                        actions=[self._count(effective)],
-                        meta=meta_verify(effective, KIND_PROBE),
+                    send = cg.instructions(
+                        (self._count(effective),),
                         goto=T_VERIFY_CHECK,
-                        priority=10,
-                        cookie=f"vsweep:s{s}:p{p}",
+                        meta=meta_verify(effective, KIND_PROBE),
                     )
+                    rows.append((s, p, send, f"vsweep:s{s}:p{p}"))
                 elif p == 0:
                     # Root finish of the verify phase: clean verdict.
-                    cg.install(
-                        T_VERIFY_SWEEP,
-                        match_meta_sweep(s, **{cg.par: 0}),
-                        actions=[
-                            SetField(FIELD_BH, BH_DONE),
-                            Output(CONTROLLER_PORT),
-                        ],
-                        priority=10,
-                        cookie=f"vsweep:finish:s{s}",
-                    )
+                    rows.append((s, 0, finish, f"vsweep:finish:s{s}"))
                 else:
                     # Return to the parent (counted and checked too).
-                    cg.install(
-                        T_VERIFY_SWEEP,
-                        match_meta_sweep(s, **{cg.par: p}),
-                        actions=[self._count(p)],
-                        meta=meta_verify(p, KIND_PARENT),
+                    back = cg.instructions(
+                        (self._count(p),),
                         goto=T_VERIFY_CHECK,
-                        priority=10,
-                        cookie=f"vsweep:parent:s{s}:p{p}",
+                        meta=meta_verify(p, KIND_PARENT),
                     )
+                    rows.append((s, p, back, f"vsweep:parent:s{s}:p{p}"))
+        return rows
 
-        # VERIFY_CHECK: a fetch returning 1 identifies the blackhole port.
-        report = lambda q: [  # noqa: E731 - tiny local factory
-            SetField(FIELD_BH, BH_FOUND),
-            SetField(FIELD_REPORT_PORT, q),
-            Output(CONTROLLER_PORT),
-        ]
-        for q in range(1, deg + 1):
-            forward = [SetField(cg.cur, q), Output(q)]
-            cg.install(
-                T_VERIFY_CHECK,
-                match_meta_verify(q, KIND_PROBE, **{FIELD_SCRATCH: 1}),
-                actions=report(q) + forward,
-                priority=20,
-                cookie=f"vcheck:probe_report:{q}",
+    def _verify_check_rows(self) -> list[tuple]:
+        """VERIFY_CHECK's row plan ``(match, q, report, instructions,
+        priority, cookie)``: a fetch returning 1 identifies the blackhole
+        port.  Matches test only metadata and the fetched value, so they are
+        shared outright; *instructions* is None where the row goes on to
+        port *q* — through the node's own current-port tag — after the
+        *report* actions."""
+        fetched_one = FieldTest(FIELD_SCRATCH, 1)
+        rows = []
+        for q in range(1, self.deg + 1):
+            report = (
+                SetField(FIELD_BH, BH_FOUND),
+                SetField(FIELD_REPORT_PORT, q),
+                Output(CONTROLLER_PORT),
             )
-            cg.install(
-                T_VERIFY_CHECK,
-                match_meta_verify(q, KIND_PROBE),
-                actions=forward,
-                priority=10,
-                cookie=f"vcheck:probe:{q}",
+            for kind, name in (
+                (KIND_PROBE, "probe"),
+                (KIND_PARENT, "parent"),
+                (KIND_BOUNCE, "bounce"),
+            ):
+                value, mask = meta_verify(q, kind)
+                verify_is = FieldTest("metadata", value, mask)
+                bounces = kind == KIND_BOUNCE
+                rows.append(
+                    (
+                        Match((verify_is, fetched_one)),
+                        q,
+                        report,
+                        Instructions(report + BOUNCE) if bounces else None,
+                        20,
+                        f"vcheck:{name}_report:{q}",
+                    )
+                )
+                rows.append(
+                    (
+                        Match((verify_is,)),
+                        q,
+                        (),
+                        Instructions(BOUNCE) if bounces else None,
+                        10,
+                        f"vcheck:{name}:{q}",
+                    )
+                )
+        return rows
+
+    def emit_extra_tables(self, cg: Codegen) -> None:
+        sweep_is, par_is, forward = cg.sweep_is, cg.par_is, cg.forward
+        for s, p, instructions, cookie in cg.shared(
+            (type(self), "verify_sweep"), lambda: self._verify_sweep_rows(cg)
+        ):
+            cg.add(
+                T_VERIFY_SWEEP,
+                Match((sweep_is[s], par_is[p])),
+                instructions,
+                10,
+                cookie,
             )
-            cg.install(
-                T_VERIFY_CHECK,
-                match_meta_verify(q, KIND_PARENT, **{FIELD_SCRATCH: 1}),
-                actions=report(q) + forward,
-                priority=20,
-                cookie=f"vcheck:parent_report:{q}",
-            )
-            cg.install(
-                T_VERIFY_CHECK,
-                match_meta_verify(q, KIND_PARENT),
-                actions=forward,
-                priority=10,
-                cookie=f"vcheck:parent:{q}",
-            )
-            cg.install(
-                T_VERIFY_CHECK,
-                match_meta_verify(q, KIND_BOUNCE, **{FIELD_SCRATCH: 1}),
-                actions=report(q) + [Output(IN_PORT)],
-                priority=20,
-                cookie=f"vcheck:bounce_report:{q}",
-            )
-            cg.install(
-                T_VERIFY_CHECK,
-                match_meta_verify(q, KIND_BOUNCE),
-                actions=[Output(IN_PORT)],
-                priority=10,
-                cookie=f"vcheck:bounce:{q}",
-            )
+        for match, q, report, instructions, priority, cookie in cg.shared(
+            (type(self), "verify_check"), self._verify_check_rows
+        ):
+            if instructions is None:
+                instructions = Instructions(report + forward[q])
+            cg.add(T_VERIFY_CHECK, match, instructions, priority, cookie)
 
 
 #: Service class -> code generator class.
@@ -1023,15 +1143,21 @@ def codegen_for(service: Service, node: int, deg: int) -> ServiceCodegen:
 
 
 def _emit_service(
-    switch: Switch,
     network: Network,
     node: int,
     service: Service,
+    tables: dict[int, list[FlowEntry]],
+    groups: list[Group],
     table_base: int = 0,
     group_base: int = 0,
 ) -> None:
+    """Assemble *service*'s pipeline block for *node* into *tables* and
+    *groups* (the caller loads them)."""
     deg = network.topology.degree(node)
-    cg = Codegen(switch, node, deg, service, table_base, group_base)
+    cg = Codegen(
+        node, deg, service, tables, groups, network.compile_plans,
+        table_base, group_base,
+    )
     codegen = codegen_for(service, node, deg)
     codegen.bind(cg)
     codegen.emit_dispatch(cg)
@@ -1040,6 +1166,17 @@ def _emit_service(
         codegen.emit_bid_table(cg)
     codegen.emit_sweep(cg)
     codegen.emit_extra_tables(cg)
+
+
+def _bare_switch(network: Network, node: int, fast_path: bool | None) -> Switch:
+    if fast_path is None:
+        fast_path = network.fast_path
+    return Switch(
+        node,
+        network.topology.degree(node),
+        liveness=network.liveness_fn(node),
+        fast_path=fast_path,
+    )
 
 
 def compile_service(
@@ -1053,13 +1190,11 @@ def compile_service(
     ``fast_path`` selects the switch's packet engine (None: the network's
     default); see :mod:`repro.openflow.fastpath`.
     """
-    deg = network.topology.degree(node)
-    if fast_path is None:
-        fast_path = network.fast_path
-    switch = Switch(
-        node, deg, liveness=network.liveness_fn(node), fast_path=fast_path
-    )
-    _emit_service(switch, network, node, service)
+    switch = _bare_switch(network, node, fast_path)
+    tables: dict[int, list[FlowEntry]] = {}
+    groups: list[Group] = []
+    _emit_service(network, node, service, tables, groups)
+    switch.load_program(tables, groups)
     return switch
 
 
@@ -1086,27 +1221,28 @@ def compile_services(
     ids = [service.service_id for service in services]
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate service ids in {ids}")
-    deg = network.topology.degree(node)
-    if fast_path is None:
-        fast_path = network.fast_path
-    switch = Switch(
-        node, deg, liveness=network.liveness_fn(node), fast_path=fast_path
-    )
+    switch = _bare_switch(network, node, fast_path)
+    svc_dispatch: list[FlowEntry] = []
+    tables: dict[int, list[FlowEntry]] = {0: svc_dispatch}
+    groups: list[Group] = []
     for index, service in enumerate(services):
         table_base = 1 + index * SERVICE_BLOCK_TABLES
-        switch.install(
-            0,
-            Match(**{FIELD_SVC: service.service_id}),
-            Instructions(goto_table=table_base),
-            priority=10,
-            cookie=f"svc_dispatch:{service.name}",
+        svc_dispatch.append(
+            FlowEntry(
+                Match(**{FIELD_SVC: service.service_id}),
+                Instructions(goto_table=table_base),
+                priority=10,
+                cookie=f"svc_dispatch:{service.name}",
+            )
         )
         _emit_service(
-            switch,
             network,
             node,
             service,
+            tables,
+            groups,
             table_base=table_base,
             group_base=(index + 1) * SERVICE_BLOCK_GROUPS,
         )
+    switch.load_program(tables, groups)
     return switch

@@ -91,6 +91,8 @@ class SmartSouthRuntime:
         #: network's default); see the batching section of docs/FASTPATH.md.
         self.batch = network.batch if batch is None else batch
         self._engines: dict[str, _BaseEngine] = {}
+        #: Smart-counter detections run so far (each needs a fresh install).
+        self._blackhole_runs = 0
 
     # ------------------------------------------------------------------ #
     # Engine management                                                  #
@@ -207,9 +209,12 @@ class SmartSouthRuntime:
 
         Each call gets a fresh install: smart counters are stateful switch
         groups, and the detection's "fetch = 1" test assumes they start
-        from zero (a real controller would reset the groups instead).
+        from zero (a real controller would reset the groups instead).  The
+        previous detection's engine — a whole compiled network — is dropped
+        first, so repeated detections hold one engine, not one per call.
         """
-        self._blackhole_runs = getattr(self, "_blackhole_runs", 0) + 1
+        self._engines.pop(f"blackhole:{self._blackhole_runs}", None)
+        self._blackhole_runs += 1
         engine = self.engine_for(
             BlackholeService(), key=f"blackhole:{self._blackhole_runs}"
         )

@@ -10,9 +10,39 @@ advances), wrapping to 0 on overflow — exactly the paper's construction.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.core.fields import FIELD_SCRATCH
 from repro.openflow.actions import SetField
 from repro.openflow.group import Bucket, Group, GroupType
+
+
+def counter_writes(
+    modulus: int, field_name: str = FIELD_SCRATCH
+) -> list[tuple[SetField, ...]]:
+    """The bucket action tuples of a k-valued counter: bucket j writes j.
+
+    Immutable, so every counter of that size on *field_name* can share one
+    list (the compiler builds it once per network).
+    """
+    if modulus < 2:
+        raise ValueError("a smart counter needs at least 2 values")
+    return [(SetField(field_name, j),) for j in range(modulus)]
+
+
+def counter_group(
+    group_id: int, writes: Sequence[tuple[SetField, ...]], start: int = 0
+) -> Group:
+    """A round-robin SELECT group over the bucket actions *writes* (see
+    :func:`counter_writes`), its cursor seeded at *start*."""
+    if not 0 <= start < len(writes):
+        raise ValueError(f"counter start {start} not in [0, {len(writes)})")
+    return Group(
+        group_id=group_id,
+        group_type=GroupType.SELECT,
+        buckets=[Bucket(actions=actions) for actions in writes],
+        rr_next=start,
+    )
 
 
 def build_counter_group(
@@ -30,17 +60,7 @@ def build_counter_group(
     (the first fetch returns ``start``), which lets the model checker and
     the simulator replay counter-dependent traversals bit-identically.
     """
-    if modulus < 2:
-        raise ValueError("a smart counter needs at least 2 values")
-    if not 0 <= start < modulus:
-        raise ValueError(f"counter start {start} not in [0, {modulus})")
-    buckets = [Bucket(actions=(SetField(field_name, j),)) for j in range(modulus)]
-    return Group(
-        group_id=group_id,
-        group_type=GroupType.SELECT,
-        buckets=buckets,
-        rr_next=start,
-    )
+    return counter_group(group_id, counter_writes(modulus, field_name), start)
 
 
 def counter_value(group: Group) -> int:

@@ -248,6 +248,10 @@ class Network:
         #: None for unwired ports; topology wiring is frozen at construction
         #: so this cache never invalidates.  Batch emission only.
         self._routes: dict[tuple[int, int], tuple | None] = {}
+        #: The rule compiler's degree-keyed row plans and shared atoms
+        #: (:meth:`repro.core.compiler.Codegen.shared`): kept here so every
+        #: switch compiled for this network reuses them and they die with it.
+        self.compile_plans: dict = {}
         #: Number of pipeline executions so far (one per packet arrival).
         #: This is the model checker's logical clock: scheduling state
         #: changes "after N packet steps" makes replays deterministic in a

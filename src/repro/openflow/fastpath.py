@@ -48,7 +48,7 @@ needed.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.openflow.actions import (
     Action,
@@ -97,8 +97,45 @@ def _fast_copy(packet: Packet) -> Packet:
     return clone
 
 
+def _lookup_safe(actions) -> bool:
+    """Whether executing *actions* preserves lookup-key equality between
+    any two packets that agreed on every (field, mask) slot beforehand.
+
+    Constant set-fields write the same value to both, outputs and label
+    pushes/pops never touch fields, and write_metadata is a constant
+    function of the chain — so two key-equal packets stay key-equal at
+    every later table.  DecTtl breaks this under masks (equal *masked*
+    values can decrement to unequal ones), groups select buckets from
+    dynamic state, and custom actions are opaque; any of those makes the
+    entry unsafe as a non-final chain step (see the chain-replay memo in
+    :meth:`FastPath.process_batch`).
+    """
+    for action in actions:
+        kind = type(action)
+        if kind is SetField:
+            if action.value < 0:
+                return False
+        elif kind is not Output and kind is not PushLabel and (
+            kind is not PopLabel
+        ):
+            return False
+    return True
+
+
 class CompiledEntry:
-    """One flow entry with its instructions pre-resolved to closures."""
+    """One flow entry as the index holds it.
+
+    Building the index fills in what a *lookup* needs (``sort_key``) and
+    the instruction fields the pipeline loop reads (``goto``,
+    ``write_metadata``); the instruction closures are compiled the first
+    time the entry is matched.  Until then an entry built with a *resolve*
+    function is **its own single op**: ``ops`` is ``(self,)``, and calling
+    it has *resolve* compile the real op tuple, swap it into ``ops`` and
+    set ``lookup_safe``, then runs that tuple.  The pipeline loops iterate
+    whatever ``ops`` holds, so they carry no "compiled yet?" test, and a
+    traversal pays closures only for the rows it actually hits.  Without
+    *resolve* the record is lookup-only (empty ``ops``).
+    """
 
     __slots__ = (
         "entry",
@@ -107,43 +144,37 @@ class CompiledEntry:
         "goto",
         "write_metadata",
         "lookup_safe",
+        "_resolve",
     )
 
     def __init__(
         self,
         entry: FlowEntry,
-        ops: tuple[OpFn, ...] = (),
+        resolve: Callable[["CompiledEntry"], tuple[OpFn, ...]] | None = None,
     ) -> None:
         self.entry = entry
         # The interpreter's documented rule: highest priority wins, ties
         # break by insertion order (FlowEntry.seq).
         self.sort_key = (-entry.priority, entry.seq)
-        self.ops = ops
-        self.goto = entry.instructions.goto_table
-        self.write_metadata = entry.instructions.write_metadata
-        # Whether executing this entry preserves lookup-key equality between
-        # any two packets that agreed on every (field, mask) slot beforehand.
-        # Constant set-fields write the same value to both, outputs and label
-        # pushes/pops never touch fields, and write_metadata is a constant
-        # function of the chain — so two key-equal packets stay key-equal at
-        # every later table.  DecTtl breaks this under masks (equal *masked*
-        # values can decrement to unequal ones), groups select buckets from
-        # dynamic state, and custom actions are opaque; any of those makes
-        # the entry unsafe as a non-final chain step (see the chain-replay
-        # memo in :meth:`FastPath.process_batch`).
-        safe = True
-        for action in entry.instructions.apply_actions:
-            kind = type(action)
-            if kind is SetField:
-                if action.value < 0:
-                    safe = False
-                    break
-            elif kind is not Output and kind is not PushLabel and (
-                kind is not PopLabel
-            ):
-                safe = False
-                break
-        self.lookup_safe = safe
+        self.ops: tuple[OpFn, ...] = () if resolve is None else (self,)
+        instructions = entry.instructions
+        self.goto = instructions.goto_table
+        self.write_metadata = instructions.write_metadata
+        #: :func:`_lookup_safe` of the entry's actions; None until the
+        #: closures are compiled (the batch loop reads it only after
+        #: running ``ops``, i.e. never before the first hit).
+        self.lookup_safe: bool | None = None
+        self._resolve = resolve
+
+    @property
+    def resolved(self) -> bool:
+        """Whether ``ops`` holds the entry's real closures yet."""
+        return self.lookup_safe is not None
+
+    def __call__(self, pkt, emit, in_port, active) -> None:
+        """The first-hit op: compile, swap in, run."""
+        for op in self._resolve(self):
+            op(pkt, emit, in_port, active)
 
 
 # --------------------------------------------------------------------- #
@@ -199,27 +230,20 @@ def _const_key(f, ip, md):  # noqa: ARG001 - fixed extractor arity
     return 0
 
 
-def _entry_signature(entry: FlowEntry) -> tuple[tuple[str, int | None], ...]:
-    """The sorted (field, mask) shape of an entry's match.
+def _shape_plan(
+    names: tuple[str, ...], masks: tuple[int | None, ...]
+) -> tuple[tuple[tuple[str, int | None], ...], tuple[str, ...]]:
+    """``(signature, key fields)`` of every match testing *names* under
+    *masks*: the sorted (field, mask) shape, and the field names whose
+    test values, in that order, form the bucket key.
 
     ``mask == 0`` tests are dropped: they constrain nothing (and OXM
     validation already forced their value to 0).
     """
-    return tuple(
-        sorted(
-            (test.name, test.mask)
-            for test in entry.match.tests.values()
-            if test.mask != 0
-        )
+    signature = tuple(
+        sorted((name, mask) for name, mask in zip(names, masks) if mask != 0)
     )
-
-
-def _entry_key(
-    entry: FlowEntry, signature: tuple[tuple[str, int | None], ...]
-):
-    """The bucket key this entry occupies under *signature*."""
-    values = tuple(entry.match.tests[name].value for name, _mask in signature)
-    return values[0] if len(signature) == 1 else values
+    return signature, tuple(name for name, _mask in signature)
 
 
 class FastTable:
@@ -239,6 +263,13 @@ class FastTable:
         self.groups = groups
         #: Always-matching entries (empty signature), best first.
         self.residue = residue
+
+    def entries(self) -> Iterator[CompiledEntry]:
+        """Every compiled entry of the table (no particular order)."""
+        for _key_fn, buckets, _signature in self.groups:
+            for candidates in buckets.values():
+                yield from candidates
+        yield from self.residue
 
     def lookup(
         self, fields: dict, in_port: int, metadata: int
@@ -358,29 +389,54 @@ def compile_table(
     table: FlowTable,
     entry_factory: Callable[[FlowEntry], CompiledEntry] = CompiledEntry,
 ) -> FastTable:
-    """Compile *table* into a :class:`FastTable`.
+    """Compile *table* into a :class:`FastTable`: the signature index only.
 
     *entry_factory* builds the per-entry record; the default produces
     lookup-only records (no instruction closures), which is what the fuzz
-    harness uses.  :class:`FastPath` passes its full instruction compiler.
+    harness uses.  :class:`FastPath` passes a factory whose records compile
+    their closures on first hit.
+
+    A table holds a handful of distinct test *shapes* (which fields, under
+    which masks) however many entries it has, so the sorted signature and
+    the key-field order are worked out once per shape and an entry costs
+    its record plus two dict probes.
     """
+    shapes: dict[tuple, tuple] = {}
     by_signature: dict[tuple, dict] = {}
     residue: list[CompiledEntry] = []
     for entry in table.entries():
         compiled = entry_factory(entry)
-        signature = _entry_signature(entry)
+        tests = entry.match.tests
+        if not tests:
+            residue.append(compiled)
+            continue
+        shape = (tuple(tests), tuple([test.mask for test in tests.values()]))
+        plan = shapes.get(shape)
+        if plan is None:
+            plan = shapes[shape] = _shape_plan(*shape)
+        signature, key_fields = plan
         if not signature:
             residue.append(compiled)
             continue
-        buckets = by_signature.setdefault(signature, {})
-        buckets.setdefault(_entry_key(entry, signature), []).append(compiled)
+        if len(key_fields) == 1:
+            key = tests[key_fields[0]].value
+        else:
+            key = tuple([tests[name].value for name in key_fields])
+        buckets = by_signature.get(signature)
+        if buckets is None:
+            buckets = by_signature[signature] = {}
+        candidates = buckets.get(key)
+        if candidates is None:
+            buckets[key] = [compiled]
+        else:
+            candidates.append(compiled)
 
-    groups: list[tuple[_GetFn, dict, tuple]] = []
-    for signature, buckets in by_signature.items():
-        for candidates in buckets.values():
-            candidates.sort(key=lambda c: c.sort_key)
-        groups.append((_make_key_fn(signature), buckets, signature))
-    residue.sort(key=lambda c: c.sort_key)
+    # Entries arrive in match order, so every candidate list and the
+    # residue are already sorted by (-priority, seq).
+    groups: list[tuple[_GetFn, dict, tuple]] = [
+        (_make_key_fn(signature), buckets, signature)
+        for signature, buckets in by_signature.items()
+    ]
     return FastTable(table.table_id, groups, residue)
 
 
@@ -427,6 +483,8 @@ class FastPath:
 
         self._switch = switch
         self._packet_out = PacketOut
+        #: One bound method for every entry record (not one per entry).
+        self._resolve_entry = self._resolve
         #: table_id -> (FlowTable.version at compile time, FastTable)
         self._tables: dict[int, tuple[int, FastTable]] = {}
         #: group_id -> compiled program (valid for _groups_version)
@@ -455,14 +513,21 @@ class FastPath:
         self._epoch += 1
 
     def warm(self) -> None:
-        """Eagerly compile every table and group program.
+        """Eagerly compile every table index, entry closure and group
+        program.
 
-        Compilation is otherwise lazy (first packet pays it); benches and
-        latency-sensitive starts call this so the hot loop never compiles.
+        Compilation is otherwise lazy (a table's index on its first packet,
+        an entry's closures on its first hit, a group's program on its
+        first execution); benches and latency-sensitive starts call this so
+        the hot loop never compiles.  After it, no entry is left
+        unresolved.
         """
         self._check_groups()
         for table_id in self._switch.tables:
-            self._fast_table(table_id)
+            fast = self._fast_table(table_id)
+            for compiled in fast.entries():
+                if not compiled.resolved:
+                    self._resolve(compiled)
         for group in self._switch.groups.groups():
             if group.group_id not in self._programs:
                 self._compile_group(group.group_id)
@@ -490,13 +555,23 @@ class FastPath:
     # -- instruction compilation ----------------------------------------- #
 
     def _compile_entry(self, entry: FlowEntry) -> CompiledEntry:
-        return CompiledEntry(entry, self._compile_actions(entry.instructions))
+        """The index-time record of *entry*: closures on first hit."""
+        return CompiledEntry(entry, self._resolve_entry)
 
-    def _compile_actions(self, instructions: Instructions) -> tuple[OpFn, ...]:
+    def _resolve(self, compiled: CompiledEntry) -> tuple[OpFn, ...]:
+        """Compile *compiled*'s closures in place and return them.
+
+        Group actions resolve against the group table as it is now (the
+        first hit, or :meth:`warm`), never as it was when the index was
+        built.
+        """
+        actions = compiled.entry.instructions.apply_actions
         ops: list[OpFn] = []
-        for action in instructions.apply_actions:
+        for action in actions:
             ops.extend(self._compile_action(action))
-        return tuple(ops)
+        compiled.lookup_safe = _lookup_safe(actions)
+        compiled.ops = resolved = tuple(ops)
+        return resolved
 
     def _compile_action(self, action: Action) -> list[OpFn]:
         """Compile one action to closures (possibly several, if flattened)."""

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from operator import attrgetter
+from typing import Callable, Iterator, Mapping, Sequence
 
 from repro.openflow.actions import Instructions
 from repro.openflow.errors import TableError, TableFullError
 from repro.openflow.match import Match
+
+
+_PRIORITY = attrgetter("priority")
 
 
 @dataclass
@@ -61,9 +65,9 @@ class FlowTable:
     tie-break order); removing and re-adding assigns a fresh seq (it moves
     to the back).
 
-    ``version`` increments on every mutation; the fast path
-    (:mod:`repro.openflow.fastpath`) uses it to invalidate compiled indexes
-    transparently.
+    ``version`` increments on every mutation (a bulk :meth:`load` is one);
+    the fast path (:mod:`repro.openflow.fastpath`) uses it to invalidate
+    compiled indexes transparently.
 
     ``capacity`` (via :meth:`set_capacity`) bounds the entry count, modelling
     TCAM pressure: installs into a full table either evict the
@@ -139,6 +143,34 @@ class FlowTable:
         self._entries.append(entry)
         self._mutated()
         return entry
+
+    def load(self, entries: Sequence[FlowEntry]) -> None:
+        """Install *entries*, in order, as one mutation.
+
+        Equivalent to calling :meth:`add` on each entry in turn — same
+        consecutive ``seq`` numbers, same match order, same lookup winners —
+        but the table is extended once, sorted once and its ``version``
+        moves once.  This is how whole programs arrive
+        (the compiler, :meth:`~repro.openflow.switch.Switch.adopt_program`);
+        a capacity-bounded table still takes the entries one by one, so
+        every install sees the eviction policy.
+        """
+        if self._capacity is not None:
+            for entry in entries:
+                self.add(entry)
+            return
+        for seq, entry in enumerate(entries, self._next_seq):
+            entry.seq = seq
+        was_sorted = self._sorted
+        self._entries.extend(entries)
+        self._next_seq += len(entries)
+        self._mutated()
+        if was_sorted:
+            # A sorted table followed by newcomers in seq order (all later
+            # than anything present): the stable sort on priority alone
+            # already yields the (-priority, seq) match order.
+            self._entries.sort(key=_PRIORITY, reverse=True)
+            self._sorted = True
 
     def _make_room(self, incoming: FlowEntry) -> None:
         """Evict one entry for *incoming*, or raise :class:`TableFullError`.

@@ -106,6 +106,20 @@ class GroupTable:
         self._version += 1
         return group
 
+    def load(self, groups: Sequence[Group]) -> None:
+        """Add *groups*, in order, as one mutation (one version bump).
+
+        Equivalent to :meth:`add` on each group in turn, including where a
+        duplicate id stops it: the groups before the duplicate stay added.
+        """
+        try:
+            for group in groups:
+                if group.group_id in self._groups:
+                    raise GroupError(f"duplicate group id {group.group_id}")
+                self._groups[group.group_id] = group
+        finally:
+            self._version += 1
+
     def get(self, group_id: int) -> Group:
         try:
             return self._groups[group_id]

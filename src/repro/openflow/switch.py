@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from repro.core.determinism import Rng, seeded_rng
 from repro.openflow.actions import GroupAction, Instructions
@@ -124,11 +124,33 @@ class Switch:
         priority: int = 0,
         cookie: str = "",
     ) -> FlowEntry:
-        """Install a flow entry; the main hook used by the compiler."""
+        """Install one flow entry (whole programs arrive through
+        :meth:`load_program`)."""
         return self.table(table_id).install(match, instructions, priority, cookie)
 
     def add_group(self, group: Group) -> Group:
         return self.groups.add(group)
+
+    def load_program(
+        self,
+        tables: Mapping[int, Sequence[FlowEntry]],
+        groups: Sequence[Group] = (),
+    ) -> None:
+        """Install a whole program in one step: every table's entries (in
+        list order), then *groups* (in order).
+
+        The one way programs reach a switch — the compiler and
+        :meth:`adopt_program` both end here — and equivalent to
+        :meth:`install` / :meth:`add_group` call by call, but each table and
+        the group table mutate once (see :meth:`FlowTable.load`).  A table
+        with no entries is not created and an empty group list mutates
+        nothing, exactly as zero installs would not.
+        """
+        for table_id, entries in tables.items():
+            if entries:
+                self.table(table_id).load(entries)
+        if groups:
+            self.groups.load(groups)
 
     def set_liveness(self, liveness: LivenessFn) -> None:
         """Replace the port-liveness oracle (wired up by the simulator).
@@ -232,15 +254,15 @@ class Switch:
         """Wipe this switch and re-install *expected*'s program.
 
         This is the controller's re-adoption push after a reboot (or after
-        the inventory handshake reports drift): rules are pushed entry by
-        entry in deterministic table/priority/seq order, then groups in
-        insertion order, so a completed push reproduces *expected*'s
-        :meth:`inventory_digest` exactly.  With an active
-        :class:`SwitchFaultConfig` the push may be interrupted partway
-        (one RNG draw for the decision, one for the cut position), raising
-        :class:`~repro.openflow.errors.InstallError` and leaving the
-        installed prefix behind — honest drift for the next retry round to
-        detect and repair.
+        the inventory handshake reports drift): the program is an operation
+        list — rules in deterministic table/priority/seq order, then groups
+        in insertion order — loaded through :meth:`load_program`, so a
+        completed push reproduces *expected*'s :meth:`inventory_digest`
+        exactly.  With an active :class:`SwitchFaultConfig` the push may be
+        interrupted partway (one RNG draw for the decision, one for the cut
+        position): only the operations before the cut are loaded, then
+        :class:`~repro.openflow.errors.InstallError` is raised — honest
+        drift for the next retry round to detect and repair.
         """
         entries = list(expected.iter_entries())
         groups = list(expected.groups.groups())
@@ -254,25 +276,16 @@ class Switch:
         self.tables = {}
         self.groups = GroupTable(self._port_live)
         self.invalidate_fast_path()
-        done = 0
-        for table_id, entry in entries:
-            if done == cut:
-                raise InstallError(
-                    f"switch {self.node_id}: program push interrupted after "
-                    f"{done}/{total} operations"
+        tables: dict[int, list[FlowEntry]] = {}
+        for table_id, entry in entries[:cut]:
+            tables.setdefault(table_id, []).append(
+                FlowEntry(
+                    entry.match, entry.instructions, entry.priority, entry.cookie
                 )
-            self.install(
-                table_id, entry.match, entry.instructions,
-                entry.priority, entry.cookie,
             )
-            done += 1
-        for group in groups:
-            if done == cut:
-                raise InstallError(
-                    f"switch {self.node_id}: program push interrupted after "
-                    f"{done}/{total} operations"
-                )
-            self.add_group(
+        self.load_program(
+            tables,
+            [
                 Group(
                     group.group_id,
                     group.group_type,
@@ -281,8 +294,14 @@ class Switch:
                         for bucket in group.buckets
                     ],
                 )
+                for group in groups[: max(0, cut - len(entries))]
+            ],
+        )
+        if cut < total:
+            raise InstallError(
+                f"switch {self.node_id}: program push interrupted after "
+                f"{cut}/{total} operations"
             )
-            done += 1
 
     def _port_live(self, port: int) -> bool:
         return self._liveness(port)

@@ -224,3 +224,169 @@ class TestExplicitInvalidation:
         switch.disable_fast_path()
         assert not switch.fast_path_enabled
         assert _ports(_process(switch)) == [1]
+
+
+def _records(switch, table_id=0):
+    """cookie -> compiled record of every indexed entry of *table_id*."""
+    _version, fast = switch._fast_path._tables[table_id]
+    return {compiled.entry.cookie: compiled for compiled in fast.entries()}
+
+
+def _two_rule_switch(fast_path=True) -> Switch:
+    switch = _switch(fast_path=fast_path)
+    switch.install(
+        0, Match(a=1), Instructions(apply_actions=(SetField("b", 7), Output(1))),
+        priority=5, cookie="one",
+    )
+    switch.install(
+        0, Match(a=2), Instructions(apply_actions=(GroupAction(7),)),
+        priority=5, cookie="two",
+    )
+    switch.install(0, Match(), Instructions(apply_actions=(Output(4),)), cookie="rest")
+    switch.add_group(Group(7, GroupType.INDIRECT, [Bucket(actions=(Output(2),))]))
+    return switch
+
+
+class TestFirstHitClosures:
+    """Building a table's index compiles no instruction closures: an
+    entry's op tuple is compiled the first time the entry is matched."""
+
+    def test_unhit_entries_hold_no_compiled_ops(self):
+        switch = _two_rule_switch()
+        assert _ports(_process(switch, {"a": 1})) == [1]
+        records = _records(switch)
+        assert records["one"].resolved and len(records["one"].ops) == 2
+        for cookie in ("two", "rest"):
+            # Still its own placeholder op, nothing compiled behind it.
+            assert not records[cookie].resolved
+            assert records[cookie].ops == (records[cookie],)
+            assert records[cookie].lookup_safe is None
+
+    def test_first_hit_compiles_exactly_one_entry(self, monkeypatch):
+        switch = _two_rule_switch()
+        resolved = []
+        original = switch._fast_path._resolve_entry
+
+        def counting(compiled):
+            resolved.append(compiled.entry.cookie)
+            return original(compiled)
+
+        monkeypatch.setattr(switch._fast_path, "_resolve_entry", counting)
+        for fields in ({"a": 1}, {"a": 1}, {"a": 2}, {"a": 1}, {"a": 2}):
+            _process(switch, fields)
+        assert resolved == ["one", "two"]
+
+    def test_first_hit_bumps_the_reference_counters(self):
+        fast, reference = _two_rule_switch(True), _two_rule_switch(False)
+        for switch in (fast, reference):
+            for fields in ({"a": 2}, {"a": 1}, {"a": 3}, {"a": 2}):
+                _process(switch, fields)
+
+        def counters(switch):
+            group = switch.groups.get(7)
+            return (
+                switch.packets_processed,
+                switch.table_misses,
+                [(e.cookie, e.packet_count) for e in switch.table(0).entries()],
+                group.packet_count,
+                group.buckets[0].packet_count,
+            )
+
+        assert counters(fast) == counters(reference)
+
+    def test_group_mutation_before_first_hit_is_honoured(self):
+        """The index is built (by a packet for another entry) while group 7
+        does not exist; the entry pointing at it is first hit after the
+        group arrived, and must run it — flattened, counters included."""
+        switch = _switch()
+        switch.install(0, Match(a=1), Instructions(apply_actions=(Output(1),)))
+        switch.install(
+            0, Match(a=2), Instructions(apply_actions=(GroupAction(7),))
+        )
+        assert _ports(_process(switch, {"a": 1})) == [1]  # index built
+        group = switch.add_group(
+            Group(7, GroupType.INDIRECT, [Bucket(actions=(Output(3),))])
+        )
+        assert _ports(_process(switch, {"a": 2})) == [3]
+        group.buckets[0].actions = (Output(2),)  # in place ...
+        switch.groups.touch()  # ... and declared
+        assert _ports(_process(switch, {"a": 2})) == [2]
+        assert group.packet_count == 2
+
+    def test_table_mutation_before_first_hit_is_honoured(self):
+        switch = _two_rule_switch()
+        assert _ports(_process(switch, {"a": 1})) == [1]  # index built
+        switch.table(0).modify(
+            Match(a=2), Instructions(apply_actions=(Output(3),))
+        )
+        assert _ports(_process(switch, {"a": 2})) == [3]
+        assert switch.groups.get(7).packet_count == 0
+
+    def test_warm_leaves_nothing_lazy(self, monkeypatch):
+        switch = _two_rule_switch()
+        switch.install(1, Match(), Instructions(apply_actions=(Output(1),)))
+
+        def no_compile(compiled):
+            raise AssertionError("warm() left an entry to compile in the loop")
+
+        # The records built by warm() carry this as their first-hit hook.
+        monkeypatch.setattr(switch._fast_path, "_resolve_entry", no_compile)
+        switch.warm_fast_path()
+        for table_id in (0, 1):
+            assert all(c.resolved for c in _records(switch, table_id).values())
+            assert all(
+                c not in c.ops for c in _records(switch, table_id).values()
+            )
+        assert _ports(_process(switch, {"a": 1})) == [1]
+        assert _ports(_process(switch, {"a": 2})) == [2]
+        assert _ports(_process(switch, {"a": 3})) == [4]
+
+    def test_mid_batch_first_hit_records_and_replays_real_ops(self):
+        """A batch of key-equal packets on a cold switch: the first packet
+        resolves the entries it hits *while its chain is being recorded*;
+        every later packet replays that chain.  The recorded steps must
+        carry the real ops (not the spent placeholder), and the final-hop
+        copy elision must draw packet ids exactly as the scalar path."""
+        from repro.openflow.packet import reset_packet_ids
+
+        def build():
+            switch = _switch()
+            switch.install(
+                0, Match(a=1), Instructions(
+                    apply_actions=(SetField("b", 7),), goto_table=1
+                ), cookie="first",
+            )
+            switch.install(
+                1, Match(b=7), Instructions(
+                    apply_actions=(SetField("c", 1), Output(2))
+                ), cookie="second",
+            )
+            return switch
+
+        def arrivals():
+            return [(Packet(fields={"a": 1}), 1) for _ in range(5)]
+
+        reset_packet_ids()
+        scalar = build()
+        expected = [
+            [(o.port, sorted(o.packet.fields.items()), o.packet.packet_id)
+             for o in scalar.process(packet, port)]
+            for packet, port in arrivals()
+        ]
+
+        reset_packet_ids()
+        batched = build()
+        observed = [None] * 5
+
+        def deliver(index, outputs):
+            observed[index] = [
+                (port, sorted(pkt.fields.items()), pkt.packet_id)
+                for port, pkt in outputs
+            ]
+
+        batched.process_batch(arrivals(), deliver)
+        assert observed == expected
+        for table_id, cookie in ((0, "first"), (1, "second")):
+            record = _records(batched, table_id)[cookie]
+            assert record.resolved and record not in record.ops
+            assert record.entry.packet_count == 5

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.determinism import seeded_rng
 from repro.openflow.actions import (
     DecTtl,
     Instructions,
@@ -12,10 +15,12 @@ from repro.openflow.actions import (
     PushLabel,
     SetField,
 )
-from repro.openflow.errors import ActionError
-from repro.openflow.flowtable import FlowTable
+from repro.openflow.errors import ActionError, InstallError, TableFullError
+from repro.openflow.flowtable import FlowEntry, FlowTable
+from repro.openflow.group import Bucket, Group, GroupType
 from repro.openflow.match import Match
 from repro.openflow.packet import Packet
+from repro.openflow.switch import Switch, SwitchFaultConfig
 
 
 class TestPacket:
@@ -151,3 +156,197 @@ class TestFlowTable:
         assert len(table) == 0
         table.install(Match(), Instructions())
         assert len(table) == 1
+
+
+# --------------------------------------------------------------------- #
+# Bulk load ≡ sequential install                                        #
+# --------------------------------------------------------------------- #
+#
+# Whole programs reach a switch through FlowTable.load / GroupTable.load /
+# Switch.load_program; single entries through add / install / add_group.
+# The two must be indistinguishable: same match order, same seq numbers,
+# same lookup winners, same digest, same evictions and errors.
+
+VALUES = st.integers(0, 3)
+
+#: (priority, match fields, output port): few priorities and few values, so
+#: equal-priority ties and overlapping matches are the common case.
+RULES = st.lists(
+    st.tuples(
+        st.integers(0, 3),
+        st.dictionaries(st.sampled_from(["a", "b"]), VALUES, max_size=2),
+        st.integers(1, 3),
+    ),
+    min_size=1,
+    max_size=16,
+)
+
+
+def _entries(rules, start=0):
+    return [
+        FlowEntry(
+            Match(**fields),
+            Instructions(apply_actions=(Output(port),)),
+            priority,
+            cookie=f"rule-{index}",
+        )
+        for index, (priority, fields, port) in enumerate(rules, start)
+    ]
+
+
+def _table_state(table):
+    return [
+        (entry.cookie, entry.priority, entry.seq) for entry in table.entries()
+    ]
+
+
+def _winners(table):
+    return [
+        getattr(table.lookup({"a": a, "b": b}), "cookie", None)
+        for a in range(4)
+        for b in range(4)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(RULES, RULES, st.booleans())
+def test_bulk_load_equals_sequential_install(present, program, read_first):
+    """Loading *program* in one step into a table already holding *present*
+    (read, hence sorted, or not) gives the table that installing it entry
+    by entry gives."""
+    bulk, sequential = Switch(0, 3), Switch(0, 3)
+    for switch in (bulk, sequential):
+        for entry in _entries(present):
+            switch.table(0).add(entry)
+        if read_first:
+            _table_state(switch.tables[0])
+    bulk.load_program({0: _entries(program, len(present))})
+    for entry in _entries(program, len(present)):
+        sequential.install(
+            0, entry.match, entry.instructions, entry.priority, entry.cookie
+        )
+    assert _table_state(bulk.tables[0]) == _table_state(sequential.tables[0])
+    assert sorted(seq for _c, _p, seq in _table_state(bulk.tables[0])) == list(
+        range(len(present) + len(program))
+    )
+    assert bulk.inventory_digest() == sequential.inventory_digest()
+    assert _winners(bulk.tables[0]) == _winners(sequential.tables[0])
+    # One step: the load is one mutation, however many entries it carries.
+    assert bulk.tables[0].version == len(present) + 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.booleans(), RULES, RULES)
+def test_bulk_load_applies_capacity_entry_by_entry(capacity, evict, present, program):
+    """A capacity-bounded table sees every entry of a bulk load under its
+    eviction policy: same evictions, same TableFullError at the same entry
+    with the same prefix left behind."""
+
+    def drive(load):
+        table = FlowTable(0)
+        for entry in _entries(present):
+            table.add(entry)
+        table.set_capacity(capacity, evict=evict)
+        entries = _entries(program, len(present))
+        error = None
+        try:
+            if load:
+                table.load(entries)
+            else:
+                for entry in entries:
+                    table.add(entry)
+        except TableFullError as exc:
+            error = str(exc)
+        return _table_state(table), table.evictions, error, _winners(table)
+
+    assert drive(load=True) == drive(load=False)
+
+
+def _reference_adopt(switch, expected, config, rng, faults_left):
+    """The re-adoption push spelled out operation by operation: the model
+    :meth:`Switch.adopt_program` must match draw for draw."""
+    entries = list(expected.iter_entries())
+    groups = list(expected.groups.groups())
+    total = len(entries) + len(groups)
+    cut = total
+    if faults_left > 0 and total and rng.random() < config.partial_install_prob:
+        faults_left -= 1
+        cut = rng.randrange(total)
+    switch.tables = {}
+    switch.groups = type(switch.groups)(switch._port_live)
+    done = 0
+    for table_id, entry in entries:
+        if done == cut:
+            break
+        switch.install(
+            table_id, entry.match, entry.instructions, entry.priority, entry.cookie
+        )
+        done += 1
+    for group in groups:
+        if done == cut:
+            break
+        switch.add_group(
+            Group(
+                group.group_id,
+                group.group_type,
+                [Bucket(b.actions, b.watch_port) for b in group.buckets],
+            )
+        )
+        done += 1
+    message = None
+    if done < total:
+        message = (
+            f"switch {switch.node_id}: program push interrupted after "
+            f"{done}/{total} operations"
+        )
+    return message, faults_left
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    RULES,
+    RULES,
+    st.integers(0, 2),
+    st.floats(0.3, 1.0),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+)
+def test_adopt_program_cut_equals_sequential_push(
+    table0, table1, group_count, prob, budget, seed
+):
+    """Under an active fault config, the bulk-loading adopt_program leaves
+    the same prefix, draws the same RNG values and raises the same message
+    as the operation-by-operation push, retry after retry."""
+    expected = Switch(0, 3)
+    expected.load_program(
+        {0: _entries(table0), 1: _entries(table1, len(table0))},
+        [
+            Group(gid, GroupType.FF, [Bucket([Output(1)], 1), Bucket([Output(2)])])
+            for gid in range(1, group_count + 1)
+        ],
+    )
+    config = SwitchFaultConfig(
+        partial_install_prob=prob, fail_budget=budget, seed=seed
+    )
+    adopted = Switch(0, 3)
+    adopted.set_faults(config)
+    reference = Switch(0, 3)
+    rng, faults_left = seeded_rng(seed), budget
+    for _attempt in range(budget + 2):
+        message, faults_left = _reference_adopt(
+            reference, expected, config, rng, faults_left
+        )
+        try:
+            adopted.adopt_program(expected)
+            raised = None
+        except InstallError as exc:
+            raised = str(exc)
+        assert raised == message
+        assert adopted.describe() == reference.describe()
+        assert [
+            (table_id, entry.seq) for table_id, entry in adopted.iter_entries()
+        ] == [(table_id, entry.seq) for table_id, entry in reference.iter_entries()]
+        if message is None:
+            break
+    assert adopted.inventory_digest() == expected.inventory_digest()
+    assert adopted._fault_rng.random() == rng.random()

@@ -24,6 +24,23 @@ class TestRuntimeFacade:
         runtime.snapshot(1)
         assert runtime._engines["snapshot"] is first
 
+    @pytest.mark.parametrize("mode", ["interpreted", "compiled"])
+    def test_repeated_blackhole_detections_keep_one_engine(self, mode):
+        """Every smart-counter detection needs a fresh install, but only the
+        latest one's engine (a whole compiled network) may stay alive."""
+        network = Network(ring(6))
+        network.links[2].set_blackhole()
+        runtime = SmartSouthRuntime(network, mode=mode)
+        runtime.snapshot(0)
+        verdicts, engine_counts = [], []
+        for _ in range(4):
+            verdict = runtime.detect_blackhole_smart(0)
+            verdicts.append((verdict.found, verdict.location))
+            engine_counts.append(len(runtime._engines))
+        assert verdicts[0][0] and verdicts == [verdicts[0]] * 4
+        assert engine_counts == [2] * 4  # snapshot + the current detection
+        assert list(runtime._engines) == ["snapshot", "blackhole:4"]
+
     def test_services_can_interleave_on_one_network(self):
         runtime = SmartSouthRuntime(ring(5), mode="compiled")
         assert runtime.snapshot(0).ok
