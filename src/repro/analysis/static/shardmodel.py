@@ -191,6 +191,7 @@ def default_manifest() -> ShardManifest:
             "Network.transmit": "event-queue",
             "Network.at_packet_step": "event-queue",
             "Network.set_handler": "channel:admin",
+            "Network.set_drain": "channel:admin",
             "Network.set_batch_handler": "channel:admin",
             "Network.set_controller_sink": "channel:admin",
             "Network.set_delivery_sink": "channel:admin",

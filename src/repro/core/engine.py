@@ -43,6 +43,25 @@ class TraversalResult:
         return bool(self.reports or self.deliveries)
 
 
+def _bind_switches(
+    network: Network, switches: dict[int, Switch], batch: bool
+) -> None:
+    """Claim the network's nodes for compiled *switches*.
+
+    Each node gets the switch's reference pipeline as its handler; a fast
+    path switch's drain entry then takes every scalar arrival directly
+    (one call per hop, emitting through the network's emitter), and in
+    batch mode the switch's batch pipeline takes same-node segments.
+    """
+    for node, switch in switches.items():
+        network.set_handler(node, switch.process)
+        fast = switch.fast_path
+        if fast is not None:
+            network.set_drain(node, fast.attach)
+        if batch:
+            network.set_batch_handler(node, switch.process_batch)
+
+
 class _BaseEngine:
     """Shared install/trigger plumbing."""
 
@@ -189,10 +208,7 @@ class CompiledEngine(_BaseEngine):
     def _bind_handlers(self) -> None:
         # repro: allow[SHARD001] install-time drain-mode config, pre-run
         self.network.batch = self.batch
-        for node, switch in self.switches.items():
-            self.network.set_handler(node, switch.process)
-            if self.batch:
-                self.network.set_batch_handler(node, switch.process_batch)
+        _bind_switches(self.network, self.switches, self.batch)
 
     def total_rules(self) -> int:
         self.install()
@@ -283,10 +299,7 @@ class MultiServiceEngine:
         if self.mode == "compiled":
             # repro: allow[SHARD001] install-time drain-mode config, pre-run
             self.network.batch = self.batch
-            for node, switch in self.switches.items():
-                self.network.set_handler(node, switch.process)
-                if self.batch:
-                    self.network.set_batch_handler(node, switch.process_batch)
+            _bind_switches(self.network, self.switches, self.batch)
         else:
             for node in self.network.topology.nodes():
                 self.network.set_handler(node, self._make_dispatcher(node))

@@ -3,8 +3,10 @@
 The simulator moves packets between *node handlers*.  A handler is any
 callable ``(packet, in_port) -> list[PacketOut]`` — in practice either an
 OpenFlow :class:`~repro.openflow.switch.Switch` pipeline (compiled engine) or
-a SmartSouth template interpreter (reference engine).  Everything observable
-is appended to a :class:`~repro.net.trace.Trace`.
+a SmartSouth template interpreter (reference engine).  A node may also have
+a *drain entry* (the compiled fast path's), which emits through the
+network's one emitter directly instead of returning an output list.
+Everything observable is appended to a :class:`~repro.net.trace.Trace`.
 
 Indexed event queue
 -------------------
@@ -32,20 +34,21 @@ import heapq
 from typing import Callable, Iterable
 
 from repro.core.determinism import seeded_rng
-from repro.net.link import Direction, Link
+from repro.net.link import Link
 from repro.net.topology import Topology
 from repro.net.trace import EventKind, Trace, TraceEvent
-from repro.openflow.packet import (
-    CONTROLLER_PORT,
-    LOCAL_PORT,
-    NO_PORT,
-    Packet,
-    is_physical_port,
-)
+from repro.openflow.packet import CONTROLLER_PORT, LOCAL_PORT, Packet
 from repro.openflow.switch import PacketOut
 
 #: A node's packet-processing function.
 Handler = Callable[[Packet, int], list[PacketOut]]
+#: The network's emitter: ``emit(node, port, packet)`` puts one packet on
+#: the wire (see :meth:`Network.set_drain`).
+EmitFn = Callable[[int, int, Packet], None]
+#: A node's drain entry: ``drain(packet, in_port)`` runs one arrival, emits
+#: its outputs through the network's emitter itself, and returns whether
+#: it emitted anything.
+DrainFn = Callable[[Packet, int], bool]
 #: Per-packet completion callback handed to batch handlers:
 #: ``deliver(index, outputs)`` with outputs as raw ``(port, packet)`` pairs.
 DeliverFn = Callable[[int, list], None]
@@ -215,8 +218,8 @@ class Network:
     (:meth:`repro.openflow.switch.Switch.process_batch`) in one call.  Batch
     mode is byte-identical to scalar mode — packets are still executed in
     arrival order, one at a time, with per-packet counters, RNG draws, and
-    packet-id allocation in the exact scalar sequence; only dispatch and
-    lookup work is amortized.  Segments fall back to the scalar path
+    packet-id allocation in the exact scalar sequence; only dispatch work is
+    amortized.  Segments fall back to the scalar path
     whenever a node has no batch handler, a segment is a single packet, or
     a non-passive sink is attached (a controller channel that reprograms
     switches synchronously).
@@ -239,14 +242,14 @@ class Network:
         self.trace = Trace()
         self.rng = seeded_rng(seed)
         self._handlers: dict[int, Handler] = {}
+        self._drains: dict[int, DrainFn] = {}
         self._batch_handlers: dict[int, BatchHandler] = {}
         self._controller_sink: ControllerSink | None = None
         self._controller_passive = False
         self._delivery_sink: DeliverySink | None = None
         self._delivery_passive = False
         #: (node, port) -> (link, far_node, far_port, direction, detail) or
-        #: None for unwired ports; topology wiring is frozen at construction
-        #: so this cache never invalidates.  Batch emission only.
+        #: None for unwired ports (see :meth:`_emit`).
         self._routes: dict[tuple[int, int], tuple | None] = {}
         #: The rule compiler's degree-keyed row plans and shared atoms
         #: (:meth:`repro.core.compiler.Codegen.shared`): kept here so every
@@ -264,10 +267,27 @@ class Network:
     # ------------------------------------------------------------------ #
 
     def set_handler(self, node: int, handler: Handler) -> None:
-        """Install *node*'s scalar pipeline; drops any stale batch handler
-        (an engine that supports batching re-registers it right after)."""
+        """Install *node*'s scalar pipeline; drops any stale drain entry and
+        batch handler (an engine that has them re-registers them right
+        after)."""
         self._handlers[node] = handler
+        self._drains.pop(node, None)
         self._batch_handlers.pop(node, None)
+
+    def set_drain(
+        self, node: int, attach: Callable[[int, EmitFn], DrainFn]
+    ) -> None:
+        """Install *node*'s drain entry, which scalar arrivals then take
+        instead of the handler.
+
+        ``attach(node, emit)`` binds the entry to this network's emitter
+        and returns it (:meth:`repro.openflow.fastpath.FastPath.attach`).
+        The entry emits every output itself — no output list and no
+        per-packet callback — and owns the arrival it is handed.  It must be
+        observably equivalent to the node's handler followed by emitting
+        that handler's outputs in order.
+        """
+        self._drains[node] = attach(node, self._emit)
 
     def set_batch_handler(self, node: int, handler: BatchHandler) -> None:
         """Install *node*'s batched pipeline (see :data:`BatchHandler`).
@@ -401,7 +421,7 @@ class Network:
             self.trace.record(
                 TraceEvent(self.sim.now, EventKind.PACKET_OUT, node, packet.packet_id)
             )
-        self.sim.schedule(0.0, lambda: self._emit(node, port, packet, LOCAL_PORT))
+        self.sim.schedule(0.0, lambda: self._emit(node, port, packet))
 
     def at_packet_step(self, step: int, fn: Callable[[], None]) -> None:
         """Run *fn* once the *step*-th packet arrival has been processed.
@@ -419,19 +439,23 @@ class Network:
         self._step_hooks.setdefault(step, []).append(fn)
 
     def _arrive(self, node: int, packet: Packet, in_port: int) -> None:
-        handler = self._handlers.get(node)
-        if handler is None:
-            raise RuntimeError(f"no handler installed at node {node}")
-        outputs = handler(packet, in_port)
-        if not outputs:
+        drain = self._drains.get(node)
+        if drain is not None:
+            emitted = drain(packet, in_port)
+        else:
+            handler = self._handlers.get(node)
+            if handler is None:
+                raise RuntimeError(f"no handler installed at node {node}")
+            outputs = handler(packet, in_port)
+            for out in outputs:
+                self._emit(node, out.port, out.packet)
+            emitted = bool(outputs)
+        if not emitted:
             self.trace.record(
                 TraceEvent(
                     self.sim.now, EventKind.PIPELINE_DROP, node, packet.packet_id
                 )
             )
-        else:
-            for out in outputs:
-                self._emit(node, out.port, out.packet, in_port)
         # The step hooks fire *after* this arrival's outputs were emitted:
         # a packet already on the wire has crossed its link, matching the
         # checker's atomic-step semantics.
@@ -496,7 +520,7 @@ class Network:
         """
         items = [(event[1], event[2]) for event in run[base:end]]
         record = self.trace.record
-        emit = self._emit_batch
+        emit = self._emit
         hooks = self._step_hooks
         now = self.sim.now
         pipeline_drop = EventKind.PIPELINE_DROP
@@ -530,28 +554,29 @@ class Network:
     # allocation on the hot path).
     _segment_watermark = 0
 
-    def _emit_batch(self, node: int, port: int, packet: Packet) -> None:
-        """Batched twin of :meth:`_emit` (identical observable behavior).
+    def _emit(self, node: int, port: int, packet: Packet) -> None:
+        """Put one packet emitted by *node* on *port* onto the wire.
 
-        Differences are mechanical only: the (node, port) -> far-end route
-        is cached (topology wiring is immutable), and the caller passes raw
-        tuples instead of PacketOut records.  Trace events, counter bumps,
-        RNG draw order, and scheduling are the scalar sequence exactly.
+        The one emitter of every drain mode and handler kind.  Reserved
+        ports go to the controller / delivery sinks; a physical port's
+        ``(node, port) -> far end`` route is resolved once and cached
+        (topology wiring is frozen at construction, so the cache never
+        invalidates).  A crossing may be dropped or duplicated by the
+        link's seeded fault model; the trace records what happened.
         """
-        sim = self.sim
+        now = self.sim.now
         record = self.trace.record
-        if port == CONTROLLER_PORT:
-            record(TraceEvent(sim.now, EventKind.PACKET_IN, node, packet.packet_id))
-            if self._controller_sink is not None:
-                self._controller_sink(node, packet)
-            return
-        if port == LOCAL_PORT:
-            record(TraceEvent(sim.now, EventKind.DELIVERED, node, packet.packet_id))
-            if self._delivery_sink is not None:
-                self._delivery_sink(node, packet)
-            return
-        if port == NO_PORT or port < 1:
-            record(TraceEvent(sim.now, EventKind.DEAD_PORT, node, packet.packet_id))
+        if port < 1:
+            if port == CONTROLLER_PORT:
+                record(TraceEvent(now, EventKind.PACKET_IN, node, packet.packet_id))
+                if self._controller_sink is not None:
+                    self._controller_sink(node, packet)
+            elif port == LOCAL_PORT:
+                record(TraceEvent(now, EventKind.DELIVERED, node, packet.packet_id))
+                if self._delivery_sink is not None:
+                    self._delivery_sink(node, packet)
+            else:
+                record(TraceEvent(now, EventKind.DEAD_PORT, node, packet.packet_id))
             return
         key = (node, port)
         route = self._routes.get(key, False)
@@ -572,129 +597,40 @@ class Network:
             self._routes[key] = route
         if route is None:
             record(
-                TraceEvent(
-                    sim.now, EventKind.DEAD_PORT, node, packet.packet_id,
-                    (node, port),
-                )
+                TraceEvent(now, EventKind.DEAD_PORT, node, packet.packet_id, key)
             )
             return
         link, far_node, far_port, direction, detail = route
         if not link.up:
             record(
-                TraceEvent(
-                    sim.now, EventKind.DEAD_PORT, node, packet.packet_id, detail
-                )
+                TraceEvent(now, EventKind.DEAD_PORT, node, packet.packet_id, detail)
             )
             return
         rng = self.rng
         drop = link.drop_prob[direction]
         if drop > 0.0 and (drop >= 1.0 or rng.random() < drop):
             link.dropped[direction] += 1
-            record(
-                TraceEvent(sim.now, EventKind.DROP, node, packet.packet_id, detail)
-            )
+            record(TraceEvent(now, EventKind.DROP, node, packet.packet_id, detail))
             return
         link.delivered[direction] += 1
         packet.hops += 1
-        record(TraceEvent(sim.now, EventKind.HOP, node, packet.packet_id, detail))
+        record(TraceEvent(now, EventKind.HOP, node, packet.packet_id, detail))
         jitter = link.jitter
         delay = link.delay if jitter <= 0.0 else link.delay + rng.random() * jitter
-        sim.schedule_arrival(delay, far_node, packet, far_port)
+        self.sim.schedule_arrival(delay, far_node, packet, far_port)
+        # Duplication: the link spawns a second, independent copy (its own
+        # packet id, so traces and duplicate-suppression can tell them
+        # apart).  The copy crosses with its own delay draw.
         dup = link.dup_prob[direction]
         if dup > 0.0 and rng.random() < dup:
             twin = packet.copy()
             link.delivered[direction] += 1
             twin.hops += 1
-            record(
-                TraceEvent(sim.now, EventKind.HOP, node, twin.packet_id, detail)
-            )
+            record(TraceEvent(now, EventKind.HOP, node, twin.packet_id, detail))
             delay = (
                 link.delay if jitter <= 0.0 else link.delay + rng.random() * jitter
             )
-            sim.schedule_arrival(delay, far_node, twin, far_port)
-
-    def _emit(self, node: int, port: int, packet: Packet, in_port: int) -> None:
-        if port == CONTROLLER_PORT:
-            self.trace.record(
-                TraceEvent(self.sim.now, EventKind.PACKET_IN, node, packet.packet_id)
-            )
-            if self._controller_sink is not None:
-                self._controller_sink(node, packet)
-            return
-        if port == LOCAL_PORT:
-            self.trace.record(
-                TraceEvent(self.sim.now, EventKind.DELIVERED, node, packet.packet_id)
-            )
-            if self._delivery_sink is not None:
-                self._delivery_sink(node, packet)
-            return
-        if port == NO_PORT or not is_physical_port(port):
-            self.trace.record(
-                TraceEvent(self.sim.now, EventKind.DEAD_PORT, node, packet.packet_id)
-            )
-            return
-        edge = self.topology.port_edge(node, port)
-        if edge is None:
-            self.trace.record(
-                TraceEvent(
-                    self.sim.now, EventKind.DEAD_PORT, node, packet.packet_id,
-                    (node, port),
-                )
-            )
-            return
-        link = self.links[edge.edge_id]
-        far = edge.other(node)
-        detail = (node, port, far.node, far.port)
-        if not link.up:
-            self.trace.record(
-                TraceEvent(
-                    self.sim.now, EventKind.DEAD_PORT, node, packet.packet_id, detail
-                )
-            )
-            return
-        direction = link.direction_from(node)
-        if self._drops(link, direction):
-            link.dropped[direction] += 1
-            self.trace.record(
-                TraceEvent(self.sim.now, EventKind.DROP, node, packet.packet_id, detail)
-            )
-            return
-        link.delivered[direction] += 1
-        packet.hops += 1
-        self.trace.record(
-            TraceEvent(self.sim.now, EventKind.HOP, node, packet.packet_id, detail)
-        )
-        self.sim.schedule_arrival(
-            self._crossing_delay(link), far.node, packet, far.port
-        )
-        # Duplication: the link spawns a second, independent copy (its own
-        # packet id, so traces and duplicate-suppression can tell them
-        # apart).  The copy crosses with its own delay draw.
-        dup = link.dup_prob[direction]
-        if dup > 0.0 and self.rng.random() < dup:
-            twin = packet.copy()
-            link.delivered[direction] += 1
-            twin.hops += 1
-            self.trace.record(
-                TraceEvent(self.sim.now, EventKind.HOP, node, twin.packet_id, detail)
-            )
-            self.sim.schedule_arrival(
-                self._crossing_delay(link), far.node, twin, far.port
-            )
-
-    def _crossing_delay(self, link: Link) -> float:
-        """One crossing's delay: base + seeded jitter (reordering knob)."""
-        if link.jitter <= 0.0:
-            return link.delay
-        return link.delay + self.rng.random() * link.jitter
-
-    def _drops(self, link: Link, direction: Direction) -> bool:
-        probability = link.drop_prob[direction]
-        if probability <= 0.0:
-            return False
-        if probability >= 1.0:
-            return True
-        return self.rng.random() < probability
+            self.sim.schedule_arrival(delay, far_node, twin, far_port)
 
     # ------------------------------------------------------------------ #
     # Running                                                            #

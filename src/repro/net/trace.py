@@ -44,14 +44,39 @@ class TraceEvent:
     detail: tuple[Any, ...] = ()
 
 
+_HOP = EventKind.HOP
+_DROP = EventKind.DROP
+_PACKET_IN = EventKind.PACKET_IN
+_PACKET_OUT = EventKind.PACKET_OUT
+_DELIVERED = EventKind.DELIVERED
+
+
 class Trace:
-    """An append-only event log with message-accounting helpers."""
+    """An append-only event log with message-accounting helpers.
+
+    The paper's two message counts and the delivery count are kept as
+    counters updated by :meth:`record`, so reading them costs the same
+    however long the log has grown (callers read them around every
+    trigger).
+    """
 
     def __init__(self) -> None:
         self._events: list[TraceEvent] = []
+        self._in_band = 0
+        self._out_band = 0
+        self._deliveries = 0
 
     def record(self, event: TraceEvent) -> None:
         self._events.append(event)
+        # Identity tests, not a dict keyed by kind: hashing an Enum member
+        # is a Python-level call, and this runs once per event.
+        kind = event.kind
+        if kind is _HOP or kind is _DROP:
+            self._in_band += 1
+        elif kind is _PACKET_IN or kind is _PACKET_OUT:
+            self._out_band += 1
+        elif kind is _DELIVERED:
+            self._deliveries += 1
 
     def events(self, kind: EventKind | None = None) -> Iterator[TraceEvent]:
         if kind is None:
@@ -69,16 +94,16 @@ class Trace:
     def in_band_messages(self) -> int:
         """Messages that crossed a data-plane link (attempted crossings count:
         a packet swallowed by a blackhole was still *sent*)."""
-        return self.count(EventKind.HOP) + self.count(EventKind.DROP)
+        return self._in_band
 
     @property
     def out_band_messages(self) -> int:
         """Controller interactions: packet-ins plus packet-outs."""
-        return self.count(EventKind.PACKET_IN) + self.count(EventKind.PACKET_OUT)
+        return self._out_band
 
     @property
     def deliveries(self) -> int:
-        return self.count(EventKind.DELIVERED)
+        return self._deliveries
 
     def hops_of(self, packet_ids: set[int]) -> int:
         """In-band messages restricted to the given packet ids."""
@@ -102,6 +127,7 @@ class Trace:
 
     def clear(self) -> None:
         self._events.clear()
+        self._in_band = self._out_band = self._deliveries = 0
 
     def __len__(self) -> int:
         return len(self._events)

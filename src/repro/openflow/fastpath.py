@@ -34,16 +34,28 @@ signature's map once plus the residue head and picks the best candidate by
 ``(-priority, seq)`` — the same priority-then-insertion-order rule the
 interpreter documents.
 
+One lookup per hop
+------------------
+
+A packet is first looked up in the switch's **chain cache**, keyed by the
+union of every slot any table consults: a hit replays the entry chain an
+earlier key-equal packet walked, with no table lookups at all; a miss
+walks the tables, one lookup per table (see :class:`FastPath`).  The
+network's drain entry (:meth:`FastPath.drain`) owns the arrivals it is
+handed, so a chain whose only emission is its final op emits the arrival
+itself instead of a clone.
+
 Invalidation
 ------------
 
 Compiled tables are cached per ``(table, FlowTable.version)``; compiled group
-programs per ``GroupTable.version``.  Any table mutation (add / remove /
-modify) or group addition bumps the respective version and the stale compile
-is dropped lazily on the next packet.  Fast-failover bucket selection calls
-the switch's liveness oracle on every execution, so port-liveness flips take
-effect immediately — the same path as the interpreter, with no invalidation
-needed.
+programs per ``GroupTable.version``; the chain cache per switch program
+generation (:attr:`Switch.program_generation`).  Any table mutation (add /
+remove / modify) or group addition bumps the respective version and the
+generation, and the stale artifacts are dropped lazily on the next packet.
+Fast-failover bucket selection calls the switch's liveness oracle on every
+execution, so port-liveness flips take effect immediately — the same path
+as the interpreter, with no invalidation needed.
 """
 
 from __future__ import annotations
@@ -64,29 +76,35 @@ from repro.core.determinism import next_packet_id
 from repro.openflow.errors import GroupError, PipelineError, TableError
 from repro.openflow.flowtable import FlowEntry, FlowTable
 from repro.openflow.group import Group, GroupType
-from repro.openflow.packet import IN_PORT, Packet, PacketBatch
+from repro.openflow.packet import IN_PORT, Packet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (switch imports us)
     from repro.openflow.switch import PacketOut, Switch
 
-#: Emission callback, same contract as :data:`repro.openflow.actions.EmitFn`.
+#: Emission callback of the compiled ops: ``emit(port, packet)`` with
+#: ``IN_PORT`` already resolved by the op.
 EmitFn = Callable[[int, "Packet"], None]
 #: A compiled operation: ``op(packet, emit, in_port, active_groups)``.
 OpFn = Callable[[Packet, EmitFn, int, frozenset], None]
+#: The network's emitter a drain entry is attached to:
+#: ``emit(node, port, packet)`` puts one packet on the wire.
+NetEmitFn = Callable[[int, int, "Packet"], None]
 
 _EMPTY_ACTIVE: frozenset[int] = frozenset()
 
-#: Distinguishes "memoized as None (table miss)" from "not memoized yet".
-_MISS = object()
+#: Chain-cache marks: a key walked once in this generation (its chain is
+#: recorded if it comes back), and a key pinned to the table walk.
+_SEEN = object()
+_PINNED = object()
 
 
 def _fast_copy(packet: Packet) -> Packet:
     """:meth:`Packet.copy` minus the dataclass-init overhead.
 
-    The batched emit path clones one packet per output action; going
+    Every emission of the fast path clones the packet it outputs; going
     through ``__new__`` skips the generated ``__init__`` and its default
     factories.  The packet id is drawn from the same allocator in the same
-    order, so ids interleave exactly as on the scalar path.
+    order, so ids interleave exactly as with :meth:`Packet.copy`.
     """
     clone = Packet.__new__(Packet)
     clone.fields = dict(packet.fields)
@@ -107,8 +125,8 @@ def _lookup_safe(actions) -> bool:
     every later table.  DecTtl breaks this under masks (equal *masked*
     values can decrement to unequal ones), groups select buckets from
     dynamic state, and custom actions are opaque; any of those makes the
-    entry unsafe as a non-final chain step (see the chain-replay memo in
-    :meth:`FastPath.process_batch`).
+    entry unsafe as a non-final chain step (see the chain cache of
+    :class:`FastPath`).
     """
     for action in actions:
         kind = type(action)
@@ -161,7 +179,7 @@ class CompiledEntry:
         self.goto = instructions.goto_table
         self.write_metadata = instructions.write_metadata
         #: :func:`_lookup_safe` of the entry's actions; None until the
-        #: closures are compiled (the batch loop reads it only after
+        #: closures are compiled (the table walk reads it only after
         #: running ``ops``, i.e. never before the first hit).
         self.lookup_safe: bool | None = None
         self._resolve = resolve
@@ -259,7 +277,7 @@ class FastTable:
     ) -> None:
         self.table_id = table_id
         #: One (key_fn, buckets, signature) triple per distinct match
-        #: signature; the signature is kept for columnar key extraction.
+        #: signature; the signature is kept for the union chain key.
         self.groups = groups
         #: Always-matching entries (empty signature), best first.
         self.residue = residue
@@ -291,98 +309,6 @@ class FastTable:
             if best is None or head.sort_key < best.sort_key:
                 best = head
         return best
-
-    def _resolve(self, combined_key) -> CompiledEntry | None:
-        """Probe with pre-extracted keys (one per signature group)."""
-        groups = self.groups
-        best: CompiledEntry | None = None
-        if len(groups) == 1:
-            candidates = groups[0][1].get(combined_key)
-            if candidates is not None:
-                best = candidates[0]
-        else:
-            for (_key_fn, buckets, _signature), key in zip(groups, combined_key):
-                candidates = buckets.get(key)
-                if candidates is not None:
-                    head = candidates[0]
-                    if best is None or head.sort_key < best.sort_key:
-                        best = head
-        if self.residue:
-            head = self.residue[0]
-            if best is None or head.sort_key < best.sort_key:
-                best = head
-        return best
-
-    def lookup_memo(
-        self, fields: dict, in_port: int, metadata: int, memo: dict
-    ) -> CompiledEntry | None:
-        """:meth:`lookup` through a per-batch memo of resolved keys.
-
-        Packets in a batch overwhelmingly share a handful of distinct keys
-        (the signature partition), so resolution runs once per distinct key
-        and every repeat is a dict hit.  Memo entries are keyed by this
-        FastTable *object*: any table mutation recompiles into a fresh
-        object, so stale hits are structurally impossible.
-        """
-        groups = self.groups
-        if not groups:
-            return self.residue[0] if self.residue else None
-        if len(groups) == 1:
-            combined = groups[0][0](fields, in_port, metadata)
-        else:
-            combined = tuple(
-                key_fn(fields, in_port, metadata)
-                for key_fn, _buckets, _signature in groups
-            )
-        key = (self, combined)
-        hit = memo.get(key, _MISS)
-        if hit is _MISS:
-            hit = self._resolve(combined)
-            memo[key] = hit
-        return hit
-
-    def lookup_batch(self, batch: PacketBatch, memo: dict) -> list:
-        """Resolve a whole batch at pipeline entry in one columnar pass.
-
-        One key-extraction sweep per signature group over the batch's field
-        columns, then one resolution per *distinct* combined key (shared
-        through *memo*, same keying as :meth:`lookup_memo`).  Only valid at
-        pipeline entry — metadata is 0 and the field columns snapshot
-        pre-action state — which is why goto-chain tables go through
-        :meth:`lookup_memo` instead.
-        """
-        groups = self.groups
-        n = len(batch.packets)
-        if not groups:
-            head = self.residue[0] if self.residue else None
-            return [head] * n
-        per_group: list[list] = []
-        for _key_fn, _buckets, signature in groups:
-            columns = []
-            for name, mask in signature:
-                column = batch.column(name)
-                if mask is not None:
-                    column = [value & mask for value in column]
-                columns.append(column)
-            if len(columns) == 1:
-                per_group.append(columns[0])
-            else:
-                per_group.append(list(zip(*columns)))
-        if len(per_group) == 1:
-            combined = per_group[0]
-        else:
-            combined = list(zip(*per_group))
-        resolved = []
-        append = resolved.append
-        get = memo.get
-        for key_values in combined:
-            key = (self, key_values)
-            hit = get(key, _MISS)
-            if hit is _MISS:
-                hit = self._resolve(key_values)
-                memo[key] = hit
-            append(hit)
-        return resolved
 
 
 def compile_table(
@@ -472,10 +398,22 @@ class _GroupProgram:
 class FastPath:
     """The compiled engine of one switch.
 
-    Owns the per-table compile cache and the group-program cache; both are
-    invalidated lazily by version comparison, so any mutation through the
-    :class:`FlowTable` / :class:`GroupTable` APIs is picked up transparently
-    on the next packet.
+    Owns the per-table compile cache, the group-program cache and the
+    **chain cache**.  The first two are invalidated lazily by version
+    comparison, so any mutation through the :class:`FlowTable` /
+    :class:`GroupTable` APIs is picked up transparently on the next packet.
+
+    The chain cache maps a packet's *union key* (:meth:`_sync`) to the
+    entry chain a packet with that key walked (see :meth:`_run` for when
+    it is recorded).  Two packets with equal union keys read identical
+    values at every lookup a chain can perform, so — as long as every
+    non-final step is
+    :attr:`CompiledEntry.lookup_safe` — they traverse identical chains, and
+    a hit costs one key extraction, one dict probe and the entry ops, with
+    no table walk.  The cache is valid for one switch program generation
+    (:attr:`Switch.program_generation`), checked per packet with one
+    integer compare; it survives across packets, drains and batches until
+    the program changes.
     """
 
     def __init__(self, switch: "Switch") -> None:
@@ -490,17 +428,29 @@ class FastPath:
         #: group_id -> compiled program (valid for _groups_version)
         self._programs: dict[int, _GroupProgram] = {}
         self._groups_version = switch.groups.version
-        #: (generation, key_fn) for the batch chain-replay memo (see
-        #: :meth:`_chain_key_fn`); recomputed whenever the generation moves.
-        self._chain_key_cache: tuple[int, _GetFn] | None = None
-        #: Bumped by :meth:`invalidate` so in-place edits (which bump no
-        #: table/group version) still advance the batch generation counter.
-        self._epoch = 0
+        #: The program generation the chain cache holds (-1: none yet).
+        self._generation = -1
+        #: Union chain-key extractor of that generation.
+        self._chain_key: _GetFn = _const_key
+        #: union key -> (head steps, elidable tail or None, missed), or one
+        #: of the marks _SEEN / _PINNED.
+        self._chains: dict = {}
+        # The drain entry's binding (see attach) and per-arrival state:
+        # (port, clone) emissions held until the pipeline ends, and whether
+        # an owned final emission went out.  Its two emitters are bound
+        # once here, not per arrival.
+        self._node = switch.node_id
+        self._net_emit: NetEmitFn | None = None
+        self._pending: list[tuple[int, Packet]] = []
+        self._sent = False
+        self._emit_pending = self._hold_copy
+        self._emit_owned = self._send_owned
 
     # -- cache management ------------------------------------------------ #
 
     def invalidate(self) -> None:
-        """Drop every compiled artifact (recompiled lazily on next use).
+        """Drop every compiled artifact and recorded chain (recompiled
+        lazily on next use).
 
         Mutations through the table/group APIs invalidate automatically;
         this hook exists for callers that mutate entry or bucket objects
@@ -509,8 +459,7 @@ class FastPath:
         self._tables.clear()
         self._programs.clear()
         self._groups_version = self._switch.groups.version
-        self._chain_key_cache = None
-        self._epoch += 1
+        self._generation = -1
 
     def warm(self) -> None:
         """Eagerly compile every table index, entry closure and group
@@ -522,7 +471,7 @@ class FastPath:
         the hot loop never compiles.  After it, no entry is left
         unresolved.
         """
-        self._check_groups()
+        self._sync()
         for table_id in self._switch.tables:
             fast = self._fast_table(table_id)
             for compiled in fast.entries():
@@ -587,6 +536,12 @@ class FastPath:
             # fall through to the generic path to keep that timing.
         elif type(action) is Output:
             port = action.port
+            if port == IN_PORT:
+
+                def output_in_port(pkt, emit, in_port, active):
+                    emit(in_port, pkt)
+
+                return [output_in_port]
 
             def output(pkt, emit, in_port, active, p=port):
                 emit(p, pkt)
@@ -623,8 +578,13 @@ class FastPath:
 
         # Unknown / custom Action subclass: defer to its own apply(), so
         # custom services (docs/TUTORIAL.md) run unchanged on the fast path.
+        # It may emit on IN_PORT, which the compiled emitters leave to the
+        # ops to resolve.
         def generic(pkt, emit, in_port, active, a=action):
-            a.apply(pkt, emit, in_port)
+            def resolve(port, out):
+                emit(in_port if port == IN_PORT else port, out)
+
+            a.apply(pkt, resolve, in_port)
 
         return [generic]
 
@@ -735,26 +695,25 @@ class FastPath:
             return
         raise GroupError(f"unsupported group type {kind}")  # pragma: no cover
 
-    # -- batch chain replay ------------------------------------------------ #
+    # -- the chain cache --------------------------------------------------- #
 
-    def _chain_key_fn(self, generation: int) -> _GetFn:
-        """The union key extractor for the batch chain-replay memo.
+    def _sync(self) -> None:
+        """Adopt the switch's current program generation.
 
-        Covers every ``(field, mask)`` slot any table of this switch
-        consults (``metadata`` excluded — it starts at 0 and evolves as a
-        constant function of the chain, so key-equal packets always agree
-        on it).  Two packets with equal union keys and equal in-ports read
-        identical values at *every* lookup a chain can perform, so — as
-        long as every non-final step is :attr:`CompiledEntry.lookup_safe` —
-        they traverse identical entry chains.  Cached per generation.
+        Drops every recorded chain, lets changed tables and group programs
+        recompile, and rebuilds the union key: every ``(field, mask)`` slot
+        any table of the switch consults.  ``metadata`` is excluded — it
+        starts at 0 and evolves as a constant function of the chain, so
+        key-equal packets always agree on it — and ``in_port`` is a slot
+        like any other when some table tests it (otherwise the ops resolve
+        ``IN_PORT`` from the arrival itself).
         """
-        cached = self._chain_key_cache
-        if cached is not None and cached[0] == generation:
-            return cached[1]
+        switch = self._switch
+        self._check_groups()
+        self._chains.clear()
         slots: set[tuple[str, int | None]] = set()
-        for table_id in list(self._switch.tables):
-            fast = self._fast_table(table_id)
-            for _key_fn, _buckets, signature in fast.groups:
+        for table_id in list(switch.tables):
+            for _key_fn, _buckets, signature in self._fast_table(table_id).groups:
                 for name, mask in signature:
                     if name != "metadata":
                         slots.add((name, mask))
@@ -762,11 +721,10 @@ class FastPath:
             union = tuple(
                 sorted(slots, key=lambda s: (s[0], -1 if s[1] is None else s[1]))
             )
-            key_fn = _make_key_fn(union)
+            self._chain_key = _make_key_fn(union)
         else:
-            key_fn = _const_key
-        self._chain_key_cache = (generation, key_fn)
-        return key_fn
+            self._chain_key = _const_key
+        self._generation = switch.program_generation
 
     def _group_single_emit(self, group_id: int) -> bool:
         """Whether executing *group_id* emits at most once, as its last act.
@@ -805,11 +763,11 @@ class FastPath:
     def _chain_elidable(self, steps: list[CompiledEntry]) -> bool:
         """Whether a recorded chain's only emission is its very last op.
 
-        When true, replay may hand the *input* packet to that op instead of
-        cloning it (`emit_owned`): the packet dies after its pipeline run,
-        every observer snapshots state by value, and the fresh packet id is
-        drawn at the same allocator position the clone would have drawn —
-        so the elision is invisible to every observable.
+        When true, a drain may hand the *arrival itself* to that op instead
+        of cloning it (copy elision): the arrival dies after its pipeline
+        run, every observer snapshots state by value, and the fresh packet
+        id is drawn at the same allocator position the clone would have
+        drawn — so the elision is invisible to every observable.
         """
         emitter: tuple[int, int, int | None] | None = None
         for step_index, compiled in enumerate(steps):
@@ -843,30 +801,87 @@ class FastPath:
             return True
         return self._group_single_emit(group_id)
 
-    # -- the hot loop ------------------------------------------------------ #
+    def _record(self, steps: list[CompiledEntry], missed: bool) -> tuple:
+        """The cache value of a walked chain, pre-split so replay never
+        slices.
 
-    def process(self, packet: Packet, in_port: int) -> "list[PacketOut]":
-        """Pipeline execution, mirroring :meth:`Switch.process` exactly."""
+        When the chain's only emission is its very last op (and no miss
+        follows it), the tail triple carries the final step's entry, its
+        leading ops and the final op, which the eliding entry points run
+        with their owned emitter; otherwise the head holds every step.
+        """
+        if not missed and self._chain_elidable(steps):
+            last = steps[-1]
+            ops = last.ops
+            return tuple(steps[:-1]), (last.entry, ops[:-1], ops[-1]), False
+        return tuple(steps), None, missed
+
+    # -- the one pipeline loop --------------------------------------------- #
+
+    def _run(
+        self, packet: Packet, in_port: int, emit: EmitFn, owned: EmitFn | None
+    ) -> None:
+        """One pipeline execution: replay *packet*'s cached chain, or walk
+        the tables.
+
+        A key's chain is recorded on its second walk: a cold traversal
+        meets most keys exactly once, and recording costs more than the
+        walk it would save.  *emit* takes every emission as a clone;
+        *owned*, when not None, takes an elidable chain's final emission —
+        the packet itself, whose fresh id the emitter draws where the
+        clone's would have been.
+        """
         switch = self._switch
-        self._check_groups()
+        if switch.program_generation != self._generation:
+            self._sync()
         switch.packets_processed += 1
-        outputs: list[PacketOut] = []
-        append = outputs.append
-        packet_out = self._packet_out
+        key = self._chain_key(packet.fields, in_port, 0)
+        chain = self._chains.get(key)
+        if type(chain) is not tuple:
+            if chain is None:
+                self._chains[key] = _SEEN
+                key = None
+            elif chain is _PINNED:
+                key = None
+            self._walk(packet, in_port, emit, key)
+            return
+        head, tail, missed = chain
+        for compiled in head:
+            compiled.entry.packet_count += 1
+            for op in compiled.ops:
+                op(packet, emit, in_port, _EMPTY_ACTIVE)
+        if tail is not None:
+            entry, ops, final = tail
+            entry.packet_count += 1
+            for op in ops:
+                op(packet, emit, in_port, _EMPTY_ACTIVE)
+            final(packet, emit if owned is None else owned, in_port, _EMPTY_ACTIVE)
+        if missed:
+            switch.table_misses += 1
 
-        def emit(port: int, pkt: Packet) -> None:
-            append(packet_out(in_port if port == IN_PORT else port, pkt.copy()))
+    def _walk(self, packet: Packet, in_port: int, emit: EmitFn, key) -> None:
+        """The table walk, one lookup per step, mirroring
+        :meth:`Switch.process` exactly.
 
+        With *key* not None the walked chain is cached under it — or the
+        key is pinned to this walk once a non-final step is not
+        :attr:`CompiledEntry.lookup_safe`, since such a step may send two
+        key-equal packets to different entries later on.
+        """
+        switch = self._switch
+        node_id = switch.node_id
         fields = packet.fields
+        max_steps = switch.MAX_PIPELINE_STEPS
+        record: list[CompiledEntry] | None = None if key is None else []
         metadata = 0
         table_id = 0
         steps = 0
-        max_steps = switch.MAX_PIPELINE_STEPS
+        missed = False
         while True:
             steps += 1
             if steps > max_steps:
                 raise PipelineError(
-                    f"switch {switch.node_id}: pipeline exceeded "
+                    f"switch {node_id}: pipeline exceeded "
                     f"{max_steps} steps (rule loop?)"
                 )
             fast = self._fast_table(table_id)
@@ -874,15 +889,15 @@ class FastPath:
                 if table_id == 0 and not switch.tables:
                     # Bare switch (factory-fresh after a reboot): table
                     # miss, not a misconfiguration — mirror Switch.process.
-                    switch.table_misses += 1
-                    return outputs
+                    missed = True
+                    break
                 raise TableError(
-                    f"switch {switch.node_id}: goto to missing table {table_id}"
+                    f"switch {node_id}: goto to missing table {table_id}"
                 )
             compiled = fast.lookup(fields, in_port, metadata)
             if compiled is None:
-                switch.table_misses += 1
-                return outputs
+                missed = True
+                break
             compiled.entry.packet_count += 1
             write_metadata = compiled.write_metadata
             if write_metadata is not None:
@@ -890,15 +905,39 @@ class FastPath:
                 metadata = (metadata & ~mask) | (value & mask)
             for op in compiled.ops:
                 op(packet, emit, in_port, _EMPTY_ACTIVE)
+            if record is not None:
+                record.append(compiled)
             goto = compiled.goto
             if goto is None:
-                return outputs
+                break
             if goto <= table_id:
                 raise PipelineError(
-                    f"switch {switch.node_id}: goto_table must move forward "
+                    f"switch {node_id}: goto_table must move forward "
                     f"({table_id} -> {goto})"
                 )
+            if record is not None and not compiled.lookup_safe:
+                record = None
+                self._chains[key] = _PINNED
             table_id = goto
+        if missed:
+            switch.table_misses += 1
+        if record is not None:
+            self._chains[key] = self._record(record, missed)
+
+    # -- entry points ------------------------------------------------------ #
+
+    def process(self, packet: Packet, in_port: int) -> "list[PacketOut]":
+        """Pipeline execution, mirroring :meth:`Switch.process` exactly:
+        every emission is a clone and *packet* stays the caller's."""
+        outputs: list[PacketOut] = []
+        append = outputs.append
+        packet_out = self._packet_out
+
+        def emit(port: int, pkt: Packet) -> None:
+            append(packet_out(port, _fast_copy(pkt)))
+
+        self._run(packet, in_port, emit, None)
+        return outputs
 
     def process_batch(self, items: list, deliver) -> None:
         """Run a batch of ``(packet, in_port)`` arrivals through the pipeline.
@@ -907,187 +946,68 @@ class FastPath:
         outputs as raw ``(port, packet)`` tuples.  Execution is strictly
         *packet-major*: item *i*'s whole pipeline runs — and is delivered —
         before item *i+1* starts, so counter bumps, SELECT cursor advances,
-        FF liveness reads, packet-id allocation and error timing all happen
-        in the exact scalar sequence.  What the batch amortizes:
-
-        * **chain replay** — the first packet of each distinct *union key*
-          (every (field, mask) slot any table consults, extracted once per
-          packet) records its full entry chain; every later key-equal
-          packet replays the recorded ops with zero table lookups.  A chain
-          records only while every non-final step is
-          :attr:`CompiledEntry.lookup_safe`; otherwise that key is pinned
-          to the per-lookup path.
-        * **copy elision** — when a recorded chain's only emission is its
-          final op (:meth:`_chain_elidable`), replay hands the input packet
-          itself to that op: the packet dies after its run, and the fresh
-          id is drawn at the same allocator position the clone's would be.
-        * goto-chain lookups of non-replayed packets share a per-batch memo
-          of resolved keys, and the first chain rejection triggers one
-          columnar entry-table pass (:meth:`FastTable.lookup_batch`) for
-          the rest of the batch.
-
-        Divergence safety: a *generation* counter — table count plus every
-        table/group version plus the invalidation epoch — is checked per
-        packet.  Any mutation (a step hook between deliveries, a custom
-        action, a non-passive sink) moves it, which drops every recorded
-        chain and pre-resolved entry; the memo itself is keyed by
-        compiled-table object, so recompiles strand stale keys.  From that
-        point the batch re-looks-up per packet, never served stale.
+        FF liveness reads, packet-id allocation, error timing and the crash
+        flag (a deliver hook may crash the switch) all follow the scalar
+        sequence.  The batch owns its arrivals, so elidable chains emit the
+        arrival itself, exactly as :meth:`drain` does.
         """
         switch = self._switch
-        node_id = switch.node_id
-        max_steps = switch.MAX_PIPELINE_STEPS
-        fast_table = self._fast_table
-        self._check_groups()
-        memo: dict = {}
-        chain_memo: dict = {}
-        tables = switch.tables
-        table_views = tables.values()
-        groups = switch.groups
         outputs: list = []
         append = outputs.append
-        in_port = 0
 
-        def generation() -> int:
-            # Strictly monotonic under mutation: versions and the epoch
-            # only grow, and tables are never deleted.
-            total = self._epoch + len(tables) + groups._version
-            for table in table_views:
-                total += table._version
-            return total
+        def emit(port: int, pkt: Packet) -> None:
+            append((port, _fast_copy(pkt)))
 
-        def emit(port: int, pkt: Packet, _copy=_fast_copy) -> None:
-            append((in_port if port == IN_PORT else port, _copy(pkt)))
+        def owned(port: int, pkt: Packet) -> None:
+            pkt.packet_id = next_packet_id()
+            append((port, pkt))
 
-        def emit_owned(port: int, pkt: Packet, _next=next_packet_id) -> None:
-            # Final-emission copy elision: the input packet is emitted
-            # directly, drawing its fresh id exactly where the clone's
-            # would have been drawn.
-            pkt.packet_id = _next()
-            append((in_port if port == IN_PORT else port, pkt))
-
-        gen = generation()
-        chain_key = self._chain_key_fn(gen)
-        fast0 = fast_table(0)
-        entries0: list | None = None
-        empty_active = _EMPTY_ACTIVE
-        for index, (packet, arrival_port) in enumerate(items):
-            in_port = arrival_port
-            fields = packet.fields
-            gen_now = self._epoch + len(tables) + groups._version
-            for table in table_views:
-                gen_now += table._version
-            if gen_now == gen:
-                ckey = chain_key(fields, arrival_port, 0)
-                chain = chain_memo.get(ckey, _MISS)
-                if chain is not None and chain is not _MISS:
-                    # Replay: (head steps, elided tail or None, missed).
-                    head_steps, tail, missed = chain
-                    switch.packets_processed += 1
-                    for compiled in head_steps:
-                        compiled.entry.packet_count += 1
-                        for op in compiled.ops:
-                            op(packet, emit, in_port, empty_active)
-                    if tail is not None:
-                        entry, tail_ops, final_op = tail
-                        entry.packet_count += 1
-                        for op in tail_ops:
-                            op(packet, emit, in_port, empty_active)
-                        final_op(packet, emit_owned, in_port, empty_active)
-                    if missed:
-                        switch.table_misses += 1
-                    deliver(index, outputs)
-                    outputs.clear()
-                    continue
-                record: list | None = [] if chain is _MISS else None
-            else:
-                # Mid-batch mutation: recompile the world, drop every
-                # recorded chain and pre-resolved entry, rebase the
-                # generation, and record afresh under the new key fn.
-                self._check_groups()
-                chain_memo.clear()
-                gen = generation()
-                chain_key = self._chain_key_fn(gen)
-                fast0 = fast_table(0)
-                entries0 = None
-                ckey = chain_key(fields, arrival_port, 0)
-                record = []
-            switch.packets_processed += 1
-            metadata = 0
-            table_id = 0
-            steps = 0
-            missed = False
-            if entries0 is not None:
-                compiled = entries0[index]
-                resolved = True
-            else:
-                compiled = None
-                resolved = False
-            while True:
-                steps += 1
-                if steps > max_steps:
-                    raise PipelineError(
-                        f"switch {node_id}: pipeline exceeded "
-                        f"{max_steps} steps (rule loop?)"
-                    )
-                if not resolved:
-                    fast = fast_table(table_id)
-                    if fast is None:
-                        if table_id == 0 and not tables:
-                            # Bare switch: table miss (see Switch.process).
-                            switch.table_misses += 1
-                            missed = True
-                            break
-                        raise TableError(
-                            f"switch {node_id}: goto to missing table {table_id}"
-                        )
-                    compiled = fast.lookup_memo(fields, in_port, metadata, memo)
-                resolved = False
-                if compiled is None:
-                    switch.table_misses += 1
-                    missed = True
-                    break
-                compiled.entry.packet_count += 1
-                write_metadata = compiled.write_metadata
-                if write_metadata is not None:
-                    value, mask = write_metadata
-                    metadata = (metadata & ~mask) | (value & mask)
-                for op in compiled.ops:
-                    op(packet, emit, in_port, empty_active)
-                if record is not None:
-                    record.append(compiled)
-                goto = compiled.goto
-                if goto is None:
-                    break
-                if goto <= table_id:
-                    raise PipelineError(
-                        f"switch {node_id}: goto_table must move forward "
-                        f"({table_id} -> {goto})"
-                    )
-                if record is not None and not compiled.lookup_safe:
-                    # This step may desynchronize later lookups between
-                    # key-equal packets — pin the key to the lookup path,
-                    # and amortize it with one columnar entry-table pass.
-                    record = None
-                    chain_memo[ckey] = None
-                    if entries0 is None and fast0 is not None:
-                        entries0 = fast0.lookup_batch(
-                            PacketBatch.pack(items), memo
-                        )
-                table_id = goto
-            if record is not None:
-                # Pre-split at record time so replay never slices: the tail
-                # triple carries the elided final step (entry, leading ops,
-                # final op to run with emit_owned), or None when the chain
-                # is not elidable and the head holds every step.
-                if self._chain_elidable(record):
-                    last = record[-1]
-                    chain_memo[ckey] = (
-                        tuple(record[:-1]),
-                        (last.entry, last.ops[:-1], last.ops[-1]),
-                        missed,
-                    )
-                else:
-                    chain_memo[ckey] = (tuple(record), None, missed)
+        for index, (packet, in_port) in enumerate(items):
+            if not switch._down:
+                self._run(packet, in_port, emit, owned)
             deliver(index, outputs)
             outputs.clear()
+
+    def attach(self, node: int, emit: NetEmitFn) -> Callable[[Packet, int], bool]:
+        """Bind the drain entry to the network emitter *emit*, emitting as
+        *node*; returns :meth:`drain` for the network to call per arrival."""
+        self._node = node
+        self._net_emit = emit
+        return self.drain
+
+    def drain(self, packet: Packet, in_port: int) -> bool:
+        """Run one arrival the network hands over and emit its outputs
+        through the attached emitter; True if anything was emitted.
+
+        Observably identical to :meth:`Switch.process` followed by emitting
+        its outputs in order: clones are held until the pipeline ends, then
+        emitted.  The drain owns *packet*, so an elidable chain's single
+        final emission — after which nothing runs — goes to the wire as the
+        arrival itself, its fresh id drawn where the clone's would have
+        been.  A crashed switch drops the arrival.
+        """
+        if self._switch._down:
+            return False
+        self._sent = False
+        try:
+            self._run(packet, in_port, self._emit_pending, self._emit_owned)
+        except BaseException:
+            self._pending = []
+            raise
+        pending = self._pending
+        if pending:
+            self._pending = []
+            emit = self._net_emit
+            node = self._node
+            for port, clone in pending:
+                emit(node, port, clone)
+            return True
+        return self._sent
+
+    def _hold_copy(self, port: int, pkt: Packet) -> None:
+        self._pending.append((port, _fast_copy(pkt)))
+
+    def _send_owned(self, port: int, pkt: Packet) -> None:
+        pkt.packet_id = next_packet_id()
+        self._sent = True
+        self._net_emit(self._node, port, pkt)

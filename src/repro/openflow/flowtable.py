@@ -67,7 +67,9 @@ class FlowTable:
 
     ``version`` increments on every mutation (a bulk :meth:`load` is one);
     the fast path (:mod:`repro.openflow.fastpath`) uses it to invalidate
-    compiled indexes transparently.
+    compiled indexes transparently.  A switch also sets :attr:`on_mutate`
+    on the tables it owns, so every mutation advances its program
+    generation.
 
     ``capacity`` (via :meth:`set_capacity`) bounds the entry count, modelling
     TCAM pressure: installs into a full table either evict the
@@ -78,6 +80,9 @@ class FlowTable:
     ``OFPFMFC_TABLE_FULL``).  Unbounded tables (the default) never pay for
     the feature beyond one attribute check per install.
     """
+
+    #: Called after every mutation (see :attr:`Switch.program_generation`).
+    on_mutate: Callable[[], None] | None = None
 
     def __init__(self, table_id: int, name: str = "") -> None:
         if table_id < 0:
@@ -123,6 +128,8 @@ class FlowTable:
     def _mutated(self) -> None:
         self._sorted = False
         self._version += 1
+        if self.on_mutate is not None:
+            self.on_mutate()
 
     def touch(self) -> None:
         """Record an out-of-band mutation (an entry edited in place)."""

@@ -83,6 +83,9 @@ class Group:
 class GroupTable:
     """All groups of one switch, plus the execution engine for them."""
 
+    #: Called after every mutation (see :attr:`Switch.program_generation`).
+    on_mutate: Callable[[], None] | None = None
+
     def __init__(self, liveness: LivenessFn) -> None:
         self._groups: dict[int, Group] = {}
         self._liveness = liveness
@@ -95,15 +98,20 @@ class GroupTable:
         (failover consults the liveness oracle per packet)."""
         return self._version
 
+    def _mutated(self) -> None:
+        self._version += 1
+        if self.on_mutate is not None:
+            self.on_mutate()
+
     def touch(self) -> None:
         """Record an out-of-band mutation (bucket lists edited in place)."""
-        self._version += 1
+        self._mutated()
 
     def add(self, group: Group) -> Group:
         if group.group_id in self._groups:
             raise GroupError(f"duplicate group id {group.group_id}")
         self._groups[group.group_id] = group
-        self._version += 1
+        self._mutated()
         return group
 
     def load(self, groups: Sequence[Group]) -> None:
@@ -118,7 +126,7 @@ class GroupTable:
                     raise GroupError(f"duplicate group id {group.group_id}")
                 self._groups[group.group_id] = group
         finally:
-            self._version += 1
+            self._mutated()
 
     def get(self, group_id: int) -> Group:
         try:

@@ -51,7 +51,6 @@ __all__ = [
     "LOCAL_PORT",
     "NO_PORT",
     "Packet",
-    "PacketBatch",
     "is_physical_port",
     "port_name",
     "reset_packet_ids",
@@ -121,69 +120,3 @@ class Packet:
         shown = {k: v for k, v in sorted(self.fields.items()) if v}
         return f"Packet(#{self.packet_id}, hops={self.hops}, {shown})"
 
-
-class PacketBatch:
-    """A struct-of-arrays view over packets arriving together.
-
-    The batched fast path does one key-extraction pass per table signature
-    instead of one context build per packet; for that it wants the *i*-th
-    value of each matched field as a column.  Packets carry their state in
-    per-packet dicts (dozens of DFS tags, most never matched on), so the
-    columns are materialized lazily — only the handful of fields some table
-    signature actually reads is ever pulled out, and each column is built
-    once per batch no matter how many signatures share the field.
-
-    Packing is a cheap view (the batch aliases the live packet objects, it
-    never copies them); "unpacking" is the identity — the per-packet dicts
-    were authoritative all along, which is what keeps the batch boundary
-    free and the scalar path the reference semantics.
-
-    A batch snapshots arrival-time state: columns reflect the fields as
-    they were when first read.  The batched pipeline therefore only uses
-    the columns for the entry-table lookup, *before* any action has run;
-    every later table in a goto chain re-reads the live packet.
-    """
-
-    __slots__ = ("packets", "in_ports", "_columns")
-
-    def __init__(self, packets: list["Packet"], in_ports: list[int]) -> None:
-        self.packets = packets
-        self.in_ports = in_ports
-        self._columns: dict[str, list[int]] = {}
-
-    @classmethod
-    def pack(cls, items: list[tuple["Packet", int]]) -> "PacketBatch":
-        """Build a batch from ``(packet, in_port)`` arrival pairs."""
-        return cls([it[0] for it in items], [it[1] for it in items])
-
-    @property
-    def size(self) -> int:
-        return len(self.packets)
-
-    def column(self, name: str) -> list[int]:
-        """The per-packet values of header field *name* (absent reads 0).
-
-        ``in_port`` and ``metadata`` are pipeline registers, not packet
-        fields, mirroring ``Switch._context``: the in-port column is the
-        arrival ports, and metadata is always 0 at pipeline entry.
-        """
-        column = self._columns.get(name)
-        if column is None:
-            if name == "in_port":
-                column = self.in_ports
-            elif name == "metadata":
-                column = [0] * len(self.packets)
-            else:
-                column = [p.fields.get(name, 0) for p in self.packets]
-            self._columns[name] = column
-        return column
-
-    def unpack(self) -> list[tuple["Packet", int]]:
-        """The ``(packet, in_port)`` pairs (the live objects, not copies)."""
-        return list(zip(self.packets, self.in_ports))
-
-    def __len__(self) -> int:
-        return len(self.packets)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"PacketBatch({len(self.packets)} packets)"

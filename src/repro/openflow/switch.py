@@ -76,6 +76,16 @@ class Switch:
     suite proves it); table and group mutations invalidate the compiled
     index transparently, and failover port-liveness is consulted per packet
     on both paths.
+
+    ``program_generation`` is one monotonic integer that moves whenever the
+    installed program may have changed: every mutation made through the
+    switch's current tables and group table, :meth:`load_program`,
+    :meth:`adopt_program`, :meth:`reboot` and
+    :meth:`invalidate_fast_path`.  The fast path's chain cache is valid for
+    one generation, so a packet checks it with one integer compare.
+    Programs must therefore change through those APIs (an in-place edit of
+    an entry or bucket object is followed by :meth:`invalidate_fast_path`
+    or ``touch()``).
     """
 
     #: Hard cap on pipeline steps per packet, to turn accidental rule loops
@@ -94,8 +104,9 @@ class Switch:
         self.node_id = node_id
         self.num_ports = num_ports
         self._liveness: LivenessFn = liveness or (lambda port: True)
+        self.program_generation = 0
         self.tables: dict[int, FlowTable] = {}
-        self.groups = GroupTable(self._port_live)
+        self.groups = self._group_table()
         self.packets_processed = 0
         self.table_misses = 0
         self._fast_path = None
@@ -110,11 +121,24 @@ class Switch:
     # Configuration                                                      #
     # ------------------------------------------------------------------ #
 
+    def _program_changed(self) -> None:
+        """Advance the program generation (the tables' mutation hook)."""
+        self.program_generation += 1
+
+    def _group_table(self) -> GroupTable:
+        groups = GroupTable(self._port_live)
+        groups.on_mutate = self._program_changed
+        return groups
+
     def table(self, table_id: int) -> FlowTable:
         """Return table *table_id*, creating it if absent."""
-        if table_id not in self.tables:
-            self.tables[table_id] = FlowTable(table_id)
-        return self.tables[table_id]
+        table = self.tables.get(table_id)
+        if table is None:
+            table = self.tables[table_id] = FlowTable(table_id)
+            table.on_mutate = self._program_changed
+            # A new table turns a goto to it from an error into a lookup.
+            self._program_changed()
+        return table
 
     def install(
         self,
@@ -146,6 +170,7 @@ class Switch:
         with no entries is not created and an empty group list mutates
         nothing, exactly as zero installs would not.
         """
+        self._program_changed()
         for table_id, entries in tables.items():
             if entries:
                 self.table(table_id).load(entries)
@@ -175,6 +200,13 @@ class Switch:
     def fast_path_enabled(self) -> bool:
         return self._fast_path is not None
 
+    @property
+    def fast_path(self):
+        """The compiled engine (:class:`~repro.openflow.fastpath.FastPath`),
+        or None while the interpreted scan is active.  Engines bind its
+        drain entry (:meth:`~repro.openflow.fastpath.FastPath.attach`)."""
+        return self._fast_path
+
     def warm_fast_path(self) -> None:
         """Pre-compile every table and group program (no-op if disabled).
 
@@ -189,8 +221,10 @@ class Switch:
 
         Mutations through the :class:`FlowTable` / :class:`GroupTable` APIs
         invalidate automatically via version counters; call this only after
-        editing entry or bucket objects in place.
+        editing entry or bucket objects in place.  Advances the program
+        generation either way.
         """
+        self._program_changed()
         if self._fast_path is not None:
             self._fast_path.invalidate()
 
@@ -239,16 +273,20 @@ class Switch:
         bucket counters) and every compiled fast-path artifact are lost;
         the controller must re-adopt the switch before it forwards
         anything again (a bare switch table-misses every packet).  The
-        fast-path invalidation bumps the compiled engine's epoch, so the
-        batched drain's generation counter can never confuse pre- and
-        post-reboot programs.  No-op unless the switch is down.
+        program generation moves, so no chain recorded against the
+        pre-reboot program is ever replayed.  No-op unless the switch is
+        down.
         """
         if not self._down:
             return
-        self.tables = {}
-        self.groups = GroupTable(self._port_live)
-        self.invalidate_fast_path()
+        self._wipe()
         self._down = False
+
+    def _wipe(self) -> None:
+        """Factory-fresh tables and group table (a new program generation)."""
+        self.tables = {}
+        self.groups = self._group_table()
+        self.invalidate_fast_path()
 
     def adopt_program(self, expected: "Switch") -> None:
         """Wipe this switch and re-install *expected*'s program.
@@ -273,9 +311,7 @@ class Switch:
             if self._fault_rng.random() < self._faults.partial_install_prob:
                 self._faults_left -= 1
                 cut = self._fault_rng.randrange(total)
-        self.tables = {}
-        self.groups = GroupTable(self._port_live)
-        self.invalidate_fast_path()
+        self._wipe()
         tables: dict[int, list[FlowEntry]] = {}
         for table_id, entry in entries[:cut]:
             tables.setdefault(table_id, []).append(
@@ -332,6 +368,11 @@ class Switch:
         snapshot copy of the packet, as OpenFlow does; reserved port
         ``IN_PORT`` is resolved to *in_port* here.  An empty list means the
         packet was dropped (table miss with no entry, or no live FF bucket).
+
+        This is the public, non-eliding API and the reference oracle: the
+        caller keeps *packet* (it is never emitted itself), with the fast
+        path on or off.  Engines drain through the fast path's own entry
+        instead (:meth:`~repro.openflow.fastpath.FastPath.drain`).
         """
         if self._down:
             return []  # crashed: every arrival is silently dropped
@@ -396,14 +437,11 @@ class Switch:
         with outputs as raw ``(port, packet)`` tuples (the batch protocol
         skips PacketOut records; outputs lists must not be retained by the
         callback).  Observably identical to calling :meth:`process` once
-        per item: with the fast path enabled the compiled engine amortizes
-        lookups across the batch, otherwise this is a plain per-packet
-        loop over the interpreter.
+        per item, crash flag included (a step hook may crash the switch
+        between two items): with the fast path enabled the compiled engine
+        replays cached chains and elides copies of the arrivals it owns,
+        otherwise this is a plain per-packet loop over the interpreter.
         """
-        if self._down:
-            for index in range(len(items)):
-                deliver(index, [])
-            return
         if self._fast_path is not None:
             self._fast_path.process_batch(items, deliver)
             return

@@ -184,3 +184,37 @@ def test_storms_produce_multi_packet_batches():
     assert max(batch_sizes) >= 2, (
         f"storm produced only single-packet segments: {batch_sizes[:20]}"
     )
+
+
+def _crash_root_mid_segment(batch: bool):
+    """Four same-root snapshot triggers on fat_tree(4): in batch mode they
+    form one segment at the root, and a step hook crashes the root after
+    its first packet."""
+    from repro.core.engine import make_engine
+    from repro.core.services.snapshot import SnapshotService
+    from repro.net.simulator import Network
+    from repro.net.topology import fat_tree
+    from repro.openflow.packet import reset_packet_ids
+
+    reset_packet_ids()
+    network = Network(fat_tree(4), fast_path=True, batch=batch)
+    engine = make_engine(
+        network, SnapshotService(), "compiled", fast_path=True, batch=batch
+    )
+    engine.install()
+    root = engine.switches[0]
+    network.at_packet_step(1, root.crash)
+    for _ in range(4):
+        engine.trigger(0, run=False)
+    network.run()
+    return root, network.trace
+
+
+def test_crash_mid_segment_stops_the_rest_of_the_batch():
+    """The crash flag is read per packet, not once per segment: the
+    crashed root drops the three arrivals still queued behind it."""
+    scalar_root, scalar_trace = _crash_root_mid_segment(batch=False)
+    batched_root, batched_trace = _crash_root_mid_segment(batch=True)
+    assert batched_trace.to_jsonl() == scalar_trace.to_jsonl()
+    assert scalar_root.packets_processed == batched_root.packets_processed == 1
+    assert len(batched_trace) == 24

@@ -1,10 +1,11 @@
 """Fast-path cache invalidation: mutations take effect on the next packet.
 
-The fast path caches compiled tables per ``FlowTable.version`` and compiled
-group programs per ``GroupTable.version``; port liveness is *never* cached.
-Each test mutates a live switch and asserts the very next packet behaves
-exactly like a fresh interpreted switch would — no stale dispatch, no lost
-dynamic state (round-robin cursors, counters), no recompile needed for
+The fast path caches compiled tables per ``FlowTable.version``, compiled
+group programs per ``GroupTable.version`` and recorded entry chains per
+switch program generation; port liveness is *never* cached.  Each test
+mutates a live switch and asserts the very next packet behaves exactly like
+a fresh interpreted switch would — no stale dispatch or replayed chain, no
+lost dynamic state (round-robin cursors, counters), no recompile needed for
 failover flips.
 """
 
@@ -12,11 +13,18 @@ from __future__ import annotations
 
 import pytest
 
-from repro.openflow.actions import GroupAction, Instructions, Output, SetField
+from repro.openflow.actions import (
+    DecTtl,
+    GroupAction,
+    Instructions,
+    Output,
+    SetField,
+)
 from repro.openflow.errors import GroupError
+from repro.openflow.fastpath import FastTable
 from repro.openflow.group import Bucket, Group, GroupType
 from repro.openflow.match import Match
-from repro.openflow.packet import Packet
+from repro.openflow.packet import Packet, reset_packet_ids
 from repro.openflow.switch import Switch
 
 
@@ -390,3 +398,272 @@ class TestFirstHitClosures:
             record = _records(batched, table_id)[cookie]
             assert record.resolved and record not in record.ops
             assert record.entry.packet_count == 5
+
+
+# --------------------------------------------------------------------- #
+# The persistent chain cache                                            #
+# --------------------------------------------------------------------- #
+
+
+def _count_lookups(monkeypatch) -> list[int]:
+    """Patch FastTable.lookup to count table lookups (one cell)."""
+    calls = [0]
+    original = FastTable.lookup
+
+    def counting(self, fields, in_port, metadata):
+        calls[0] += 1
+        return original(self, fields, in_port, metadata)
+
+    monkeypatch.setattr(FastTable, "lookup", counting)
+    return calls
+
+
+def _drain(switch):
+    """Attach *switch*'s drain entry to a recording emitter; returns
+    (drain, emitted), emitted holding (port, packet id) per emission."""
+    emitted = []
+
+    def emit(node, port, packet):
+        emitted.append((port, packet.packet_id))
+
+    return switch.fast_path.attach(switch.node_id, emit), emitted
+
+
+def _recorded(switch) -> list:
+    """The recorded chains of *switch* (not the seen-once or pinned marks)."""
+    return [
+        chain for chain in switch.fast_path._chains.values()
+        if isinstance(chain, tuple)
+    ]
+
+
+def _ff_switch(live):
+    switch = _switch(liveness=lambda port: live.get(port, True))
+    switch.add_group(
+        Group(
+            3,
+            GroupType.FF,
+            [
+                Bucket(actions=(Output(1),), watch_port=1),
+                Bucket(actions=(Output(2),), watch_port=2),
+            ],
+        )
+    )
+    switch.install(
+        0, Match(a=1), Instructions(apply_actions=(SetField("b", 1),), goto_table=1)
+    )
+    switch.install(1, Match(b=1), Instructions(apply_actions=(GroupAction(3),)))
+    return switch
+
+
+class TestChainCache:
+    def test_replay_does_no_table_lookups(self, monkeypatch):
+        """One lookup per table, and then none: the first two packets of a
+        key walk both tables (the second records the chain), every later
+        key-equal packet replays."""
+        switch = _ff_switch({})
+        lookups = _count_lookups(monkeypatch)
+        for _ in range(5):
+            assert _ports(_process(switch, {"a": 1})) == [1]
+        assert lookups[0] == 4
+        assert len(_recorded(switch)) == 1
+        assert switch.packets_processed == 5
+        assert [e.packet_count for _t, e in switch.iter_entries()] == [5, 5]
+
+    def test_ff_flip_between_replays_takes_the_new_bucket(self, monkeypatch):
+        live = {1: True, 2: True}
+        switch = _ff_switch(live)
+        drain, emitted = _drain(switch)
+        for _ in range(2):  # walked, then walked and recorded
+            assert drain(Packet(fields={"a": 1}), 3)
+        lookups = _count_lookups(monkeypatch)
+        live[1] = False
+        assert drain(Packet(fields={"a": 1}), 3)
+        live[2] = False
+        assert not drain(Packet(fields={"a": 1}), 3)  # no live bucket
+        live[1] = True
+        assert drain(Packet(fields={"a": 1}), 3)
+        assert [port for port, _id in emitted] == [1, 1, 2, 1]
+        assert lookups[0] == 0  # every flip was seen by a replay
+        group = switch.groups.get(3)
+        assert group.packet_count == 5
+        assert [b.packet_count for b in group.buckets] == [3, 1]
+
+    def test_select_cursor_advances_once_per_replay(self, monkeypatch):
+        switch = _switch()
+        group = switch.add_group(
+            Group(
+                5,
+                GroupType.SELECT,
+                [Bucket(actions=(Output(p),)) for p in (1, 2, 3)],
+            )
+        )
+        switch.install(0, Match(a=1), Instructions(apply_actions=(GroupAction(5),)))
+        drain, emitted = _drain(switch)
+        lookups = _count_lookups(monkeypatch)
+        for _ in range(5):
+            assert drain(Packet(fields={"a": 1}), 1)
+        assert [port for port, _id in emitted] == [1, 2, 3, 1, 2]
+        assert lookups[0] == 2  # two walks, then replays
+        assert group.rr_next == 2
+        assert group.packet_count == 5
+        assert [b.packet_count for b in group.buckets] == [2, 2, 1]
+
+    @pytest.mark.parametrize("unsafe", ["dec_ttl", "group"])
+    def test_unsafe_non_final_step_pins_its_key(self, unsafe, monkeypatch):
+        """A DecTtl or group step before another lookup can send key-equal
+        packets to different entries, so its key is never replayed."""
+
+        def build(fast_path):
+            switch = _switch(fast_path=fast_path)
+            if unsafe == "dec_ttl":
+                first = (DecTtl("ttl"),)
+            else:
+                switch.add_group(
+                    Group(
+                        5,
+                        GroupType.SELECT,
+                        [Bucket(actions=(SetField("ttl", v),)) for v in (1, 2)],
+                    )
+                )
+                first = (GroupAction(5),)
+            switch.install(
+                0, Match(a=1), Instructions(apply_actions=first, goto_table=1)
+            )
+            switch.install(1, Match(ttl=1), Instructions(apply_actions=(Output(1),)))
+            switch.install(1, Match(ttl=2), Instructions(apply_actions=(Output(2),)))
+            return switch
+
+        fast, reference = build(True), build(False)
+        lookups = _count_lookups(monkeypatch)
+        for _ in range(4):
+            assert _ports(_process(fast, {"a": 1, "ttl": 2})) == _ports(
+                _process(reference, {"a": 1, "ttl": 2})
+            )
+        assert _recorded(fast) == []
+        assert lookups[0] == 8  # two per packet: the key never replays
+
+    def test_table_miss_chains_replay_the_miss(self, monkeypatch):
+        switch = _switch()
+        first = switch.install(
+            0, Match(a=1), Instructions(apply_actions=(SetField("c", 1),), goto_table=1)
+        )
+        switch.install(1, Match(b=5), Instructions(apply_actions=(Output(1),)))
+        drain, emitted = _drain(switch)
+        lookups = _count_lookups(monkeypatch)
+        for _ in range(4):
+            assert not drain(Packet(fields={"a": 1}), 1)
+        assert emitted == []
+        assert lookups[0] == 4  # two walks, then replays
+        (chain,) = _recorded(switch)
+        assert chain[2] is True  # recorded as a miss
+        assert switch.table_misses == 4
+        assert first.packet_count == 4
+
+    def test_drain_elides_the_final_copy_with_scalar_packet_ids(self):
+        """The drain emits the arrival itself on an elidable replay (the
+        third packet on), with the id the scalar path's clone would have
+        drawn."""
+
+        def run(step):
+            reset_packet_ids()
+            switch = _ff_switch({})
+            seen = []
+            drain, emitted = _drain(switch)
+            for _ in range(4):
+                packet = Packet(fields={"a": 1})
+                if step == "drain":
+                    drain(packet, 3)
+                    seen.append(emitted[-1][1])
+                else:
+                    (out,) = switch.process(packet, 3)
+                    seen.append(out.packet.packet_id)
+            return seen
+
+        assert run("drain") == run("process") == [2, 4, 6, 8]
+
+    def test_in_place_edit_then_invalidate_between_drains(self):
+        switch = _switch()
+        entry = switch.install(0, Match(), Instructions(apply_actions=(Output(1),)))
+        drain, emitted = _drain(switch)
+        drain(Packet(), 1)
+        drain(Packet(), 1)
+        entry.instructions = Instructions(apply_actions=(Output(3),))
+        switch.invalidate_fast_path()
+        drain(Packet(), 1)
+        drain(Packet(), 1)
+        assert [port for port, _id in emitted] == [1, 1, 3, 3]
+
+    def test_reboot_and_readopt_between_drains(self):
+        expected = _switch(fast_path=False)
+        expected.install(0, Match(), Instructions(apply_actions=(Output(2),)))
+        switch = _switch()
+        switch.install(0, Match(), Instructions(apply_actions=(Output(1),)))
+        drain, emitted = _drain(switch)
+        assert drain(Packet(), 1)
+        switch.crash()
+        assert not drain(Packet(), 1)  # down: dropped, not processed
+        switch.reboot()
+        assert not drain(Packet(), 1)  # bare: a table miss
+        switch.adopt_program(expected)
+        assert drain(Packet(), 1)
+        assert drain(Packet(), 1)
+        assert [port for port, _id in emitted] == [1, 2, 2]
+        assert switch.packets_processed == 4
+        assert switch.table_misses == 1
+
+    def test_reactive_install_between_drains(self):
+        switch = _switch()
+        switch.install(0, Match(), Instructions(apply_actions=(Output(1),)))
+        drain, emitted = _drain(switch)
+        drain(Packet(fields={"a": 7}), 1)
+        drain(Packet(fields={"a": 7}), 1)
+        switch.install(
+            0, Match(a=7), Instructions(apply_actions=(Output(4),)), priority=10
+        )
+        drain(Packet(fields={"a": 7}), 1)
+        drain(Packet(fields={"a": 8}), 1)
+        assert [port for port, _id in emitted] == [1, 1, 4, 1]
+
+
+def test_mid_batch_reboot_then_install_is_visible():
+    """After a mid-batch reboot + adopt_program, a later mid-batch install
+    lands in the *new* tables; the program generation sees it, so no chain
+    recorded before it is replayed.  Same answer through process and
+    process_batch."""
+
+    def expected_program():
+        switch = _switch(fast_path=False)
+        switch.install(0, Match(), Instructions(apply_actions=(Output(2),)))
+        return switch
+
+    def build():
+        switch = _switch()
+        switch.install(0, Match(), Instructions(apply_actions=(Output(1),)))
+        return switch
+
+    def mutate(switch, index):
+        if index == 0:
+            switch.crash()
+            switch.reboot()
+            switch.adopt_program(expected_program())
+        elif index == 2:
+            switch.install(
+                0, Match(), Instructions(apply_actions=(Output(4),)), priority=10
+            )
+
+    scalar = build()
+    scalar_ports = []
+    for index in range(5):
+        scalar_ports += _ports(_process(scalar))
+        mutate(scalar, index)
+
+    batched = build()
+    batched_ports = []
+
+    def deliver(index, outputs):
+        batched_ports.extend(port for port, _packet in outputs)
+        mutate(batched, index)
+
+    batched.process_batch([(Packet(), 1) for _ in range(5)], deliver)
+    assert scalar_ports == batched_ports == [1, 2, 2, 4, 4]

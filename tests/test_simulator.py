@@ -362,3 +362,55 @@ class TestTrace:
         trace = Trace()
         trace.record(TraceEvent(0.0, EventKind.HOP, 0, 1, (0, 1, 1, 2)))
         assert trace.format_hops() == "t=0      0:p1 -> 1:p2"
+
+    def test_accounting_counters_agree_with_a_recount(self):
+        trace = Trace()
+        kinds = list(EventKind) * 3
+        for index, kind in enumerate(kinds):
+            trace.record(TraceEvent(float(index), kind, 0, index))
+
+        def recount(*wanted):
+            return sum(1 for event in trace.events() if event.kind in wanted)
+
+        assert trace.in_band_messages == recount(EventKind.HOP, EventKind.DROP) == 6
+        assert trace.out_band_messages == recount(
+            EventKind.PACKET_IN, EventKind.PACKET_OUT
+        ) == 6
+        assert trace.deliveries == recount(EventKind.DELIVERED) == 3
+        trace.clear()
+        assert (trace.in_band_messages, trace.out_band_messages) == (0, 0)
+        assert trace.deliveries == 0
+
+
+class _CountingRows(list):
+    """A trace log that counts the rows every full scan examines."""
+
+    examined = 0
+
+    def __iter__(self):
+        self.examined += len(self)
+        return super().__iter__()
+
+
+def test_trace_accessors_do_not_rescan_a_growing_log():
+    """Message accounting is counter-backed: over 300 uncleared snapshot
+    calls the log grows without bound, yet the rows a call examines — its
+    trigger's accounting reads plus an explicit read of every accessor —
+    stay what they were on the first call."""
+    from repro.core.runtime import SmartSouthRuntime
+
+    network = Network(ring(4), fast_path=True)
+    runtime = SmartSouthRuntime(network, mode="compiled")
+    rows = _CountingRows()
+    network.trace._events = rows
+    examined = []
+    for _ in range(300):
+        before = rows.examined
+        result = runtime.snapshot(0)
+        trace = network.trace
+        assert trace.in_band_messages >= result.result.in_band_messages > 0
+        assert trace.out_band_messages > 0
+        assert trace.deliveries == 0
+        examined.append(rows.examined - before)
+    assert len(rows) > 300 * 8
+    assert examined == [examined[0]] * 300
