@@ -33,9 +33,14 @@ campaigns on top of this module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterator, Mapping
 
-from repro.core.engine import TraversalResult, _BaseEngine, make_engine
+from repro.core.engine import (
+    TraversalResult,
+    _BaseEngine,
+    _bind_switches,
+    make_engine,
+)
 from repro.core.epoch import EpochClock, EpochGate, watchdog_deadline
 from repro.core.fields import FIELD_EPOCH, FIELD_GID, FIELD_REPEAT, FIELD_SVC
 from repro.core.services.anycast import AnycastService
@@ -635,6 +640,9 @@ class SupervisedRuntime:
         self._supervisors: dict[str, TraversalSupervisor] = {}
         #: gid -> confirmed members (delivery evidence), most recent last.
         self._confirmed: dict[int, list[int]] = {}
+        #: (supervisor key, node) -> (degree, expected inventory digest);
+        #: see :meth:`_matches_expected`.
+        self._expected_digests: dict[tuple[str, int], tuple[int, str]] = {}
 
     def _supervisor(self, service: Service, key: str) -> TraversalSupervisor:
         supervisor = self._supervisors.get(key)
@@ -674,12 +682,13 @@ class SupervisedRuntime:
         3. **Inventory handshake, to a fixed point.**  Every switch of
            every supervised engine reports its
            :meth:`~repro.openflow.switch.Switch.inventory_digest`; the
-           controller recompiles the expected program from static config
-           and reprograms any switch whose digest disagrees (a crash during
-           programming, or state garbled while unsupervised).  Rounds
-           repeat until one reprograms nothing; ``converged`` is False only
-           when *max_rounds* of reprogramming never reached that fixed
-           point.
+           controller compares it with the expected program's digest and
+           replaces any switch whose digest disagrees (a crash during
+           programming, or state garbled while unsupervised) with the
+           program compiled from static config, bound the way the engine
+           binds every switch.  Rounds repeat until one reprograms nothing;
+           ``converged`` is False only when *max_rounds* of reprogramming
+           never reached that fixed point.
         """
         epoch_before = self.clock.current
         epoch_after = self.clock.resync(margin)
@@ -697,72 +706,91 @@ class SupervisedRuntime:
         for _round in range(max_rounds):
             report.rounds += 1
             entries: list[SwitchResync] = []
-            reprogrammed = 0
-            for key in sorted(self._supervisors):
-                supervisor = self._supervisors[key]
+            for key, supervisor, node, reachable in self._handshake_walk():
                 engine = supervisor.engine
-                installed = getattr(engine, "switches", None)
-                if not installed:
-                    # Interpreted engines keep no switch-side flow state to
-                    # reconcile; (re)binding happens on the next call.
-                    continue
-                service = supervisor.service
-                for node in sorted(installed):
-                    if self.channel is not None and not self.channel.connected(
-                        node
-                    ):
-                        entries.append(
-                            SwitchResync(node, service.name, RESYNC_UNREACHABLE)
-                        )
-                        continue
-                    expected, digest = self._expected_program(
-                        expected_programs, key, node
-                    )
-                    if installed[node].inventory_digest() == digest:
-                        entries.append(
-                            SwitchResync(node, service.name, RESYNC_OK)
-                        )
-                        continue
-                    # Installing consumes the expected switch: a later round
-                    # must check the node against a fresh compile.
+                if not reachable:
+                    status = RESYNC_UNREACHABLE
+                elif self._matches_expected(
+                    expected_programs, key, node, engine.switches[node]
+                ):
+                    status = RESYNC_OK
+                else:
+                    # Installing consumes the expected switch: a later push
+                    # to this node needs a fresh compile.
+                    expected = self._expected_program(expected_programs, key, node)
                     del expected_programs[key, node]
-                    installed[node] = expected
-                    self.network.set_handler(node, expected.process)
-                    entries.append(
-                        SwitchResync(node, service.name, RESYNC_REPROGRAMMED)
-                    )
+                    engine.switches[node] = expected
+                    _bind_switches(self.network, {node: expected}, engine.batch)
+                    status = RESYNC_REPROGRAMMED
                     report.reprogrammed_nodes.append(node)
-                    reprogrammed += 1
+                entries.append(SwitchResync(node, supervisor.service.name, status))
             report.switches = entries
-            if reprogrammed == 0:
+            if all(entry.status != RESYNC_REPROGRAMMED for entry in entries):
                 report.converged = True
                 break
         return report
 
-    def _expected_program(
-        self, memo: dict, key: str, node: int
-    ) -> tuple[Switch, str]:
-        """The program static configuration prescribes for *node* under
-        supervisor *key*, with its inventory digest.
+    # -- the repair handshake shared by resynchronize and readopt --------- #
 
-        Both depend only on the service definition and the topology, so one
-        repair call (:meth:`resynchronize` or :meth:`readopt`, which owns
-        *memo*) compiles and digests each ``(engine, node)`` at most once,
-        however many rounds it runs.
+    def _handshake_walk(
+        self,
+    ) -> Iterator[tuple[str, TraversalSupervisor, int, bool]]:
+        """Every switch a handshake round visits, in deterministic order.
+
+        Yields ``(key, supervisor, node, reachable)`` over the sorted
+        supervisor keys of compiled engines, then their sorted nodes;
+        ``reachable`` is False for a management-disconnected node.
+        Interpreted engines keep no switch-side flow state to reconcile
+        ((re)binding happens on their next call) and yield nothing.
         """
+        for key in sorted(self._supervisors):
+            supervisor = self._supervisors[key]
+            installed = getattr(supervisor.engine, "switches", None)
+            if not installed:
+                continue
+            for node in sorted(installed):
+                reachable = self.channel is None or self.channel.connected(node)
+                yield key, supervisor, node, reachable
+
+    def _matches_expected(
+        self, memo: dict, key: str, node: int, switch: Switch
+    ) -> bool:
+        """The handshake check: *switch* reports its
+        :meth:`~repro.openflow.switch.Switch.inventory_digest` and the
+        controller compares it with the digest of the program static
+        configuration prescribes for *node* under supervisor *key*.
+
+        That program is a pure function of the service, the node and the
+        node's degree, so its digest is kept across calls, keyed by degree:
+        the program is compiled (into *memo*) only the first time a node is
+        checked or after the topology changed its degree.  A switch whose
+        program did not change since it last reported costs a dict probe
+        and a generation compare.
+        """
+        degree = self.network.topology.degree(node)
+        known = self._expected_digests.get((key, node))
+        if known is None or known[0] != degree:
+            digest = self._expected_program(memo, key, node).inventory_digest()
+            known = self._expected_digests[key, node] = (degree, digest)
+        return switch.inventory_digest() == known[1]
+
+    def _expected_program(self, memo: dict, key: str, node: int) -> Switch:
+        """The program static configuration prescribes for *node* under
+        supervisor *key*, compiled at most once per repair call
+        (:meth:`resynchronize` or :meth:`readopt`, which owns *memo*)
+        however many rounds it runs."""
         from repro.core.compiler import compile_service
 
-        hit = memo.get((key, node))
-        if hit is None:
+        expected = memo.get((key, node))
+        if expected is None:
             supervisor = self._supervisors[key]
-            expected = compile_service(
+            expected = memo[key, node] = compile_service(
                 self.network,
                 node,
                 supervisor.service,
                 fast_path=getattr(supervisor.engine, "fast_path", None),
             )
-            hit = memo[key, node] = (expected, expected.inventory_digest())
-        return hit
+        return expected
 
     # -- switch re-adoption ----------------------------------------------- #
 
@@ -791,9 +819,9 @@ class SupervisedRuntime:
         inventory handshake — the switch reports its
         :meth:`~repro.openflow.switch.Switch.inventory_digest` (which
         covers flow entries, group buckets and FF watch ports), the
-        controller recompiles the expected program from static
-        configuration, and any disagreeing switch gets the program pushed
-        back entry by entry via
+        controller compares it with the expected program's digest, and any
+        disagreeing switch gets the program, compiled from static
+        configuration, pushed back entry by entry via
         :meth:`~repro.openflow.switch.Switch.adopt_program`.  The push
         mutates the installed switch **in place**, so an interrupted push
         (an active :class:`~repro.openflow.switch.SwitchFaultConfig`)
@@ -810,86 +838,50 @@ class SupervisedRuntime:
         expected digest in the final sweep.
         """
         report = ReadoptReport(converged=False, rounds=0)
-        pending = {"drifted": 0}
         expected_programs: dict = {}
 
         def sweep(round_index: int) -> None:
-            drifted = 0
-            dark: list[int] = []
-            unreachable: list[int] = []
-            still_drifted: list[int] = []
-            for key in sorted(self._supervisors):
-                supervisor = self._supervisors[key]
-                engine = supervisor.engine
-                installed = getattr(engine, "switches", None)
-                if not installed:
-                    # Interpreted engines keep no switch-side flow state.
-                    continue
-                service = supervisor.service
-                for node in sorted(installed):
-                    switch = installed[node]
-                    if self.channel is not None and not self.channel.connected(
-                        node
-                    ):
-                        report.attempts.append(
-                            ReadoptAttempt(
-                                round_index, node, service.name,
-                                READOPT_UNREACHABLE,
-                            )
-                        )
-                        if node not in unreachable:
-                            unreachable.append(node)
-                        continue
-                    if switch.down:
-                        report.attempts.append(
-                            ReadoptAttempt(
-                                round_index, node, service.name, READOPT_DARK
-                            )
-                        )
-                        if node not in dark:
-                            dark.append(node)
-                        continue
-                    expected, digest = self._expected_program(
-                        expected_programs, key, node
-                    )
-                    if switch.inventory_digest() == digest:
-                        report.attempts.append(
-                            ReadoptAttempt(
-                                round_index, node, service.name, READOPT_OK
-                            )
-                        )
-                        continue
+            # This round's report sets, keyed by the status that lands a
+            # node in one (a push that fails its re-verify is drifted too).
+            sets: dict[str, list[int]] = {
+                READOPT_UNREACHABLE: [], READOPT_DARK: [], READOPT_FAILED: []
+            }
+            for key, supervisor, node, reachable in self._handshake_walk():
+                switch = supervisor.engine.switches[node]
+                drifted = False
+                if not reachable:
+                    status = READOPT_UNREACHABLE
+                elif switch.down:
+                    status = READOPT_DARK
+                elif self._matches_expected(expected_programs, key, node, switch):
+                    status = READOPT_OK
+                else:
                     try:
-                        switch.adopt_program(expected)
+                        switch.adopt_program(
+                            self._expected_program(expected_programs, key, node)
+                        )
                     except InstallError:
-                        report.attempts.append(
-                            ReadoptAttempt(
-                                round_index, node, service.name,
-                                READOPT_FAILED,
-                            )
+                        status = READOPT_FAILED
+                    else:
+                        status = READOPT_REPROGRAMMED
+                        report.reprogrammed_nodes.append(node)
+                        # A completed push matches by construction, but a
+                        # paranoid controller re-verifies the digest rather
+                        # than trusting its own bookkeeping.
+                        drifted = not self._matches_expected(
+                            expected_programs, key, node, switch
                         )
-                        drifted += 1
-                        if node not in still_drifted:
-                            still_drifted.append(node)
-                        continue
-                    report.attempts.append(
-                        ReadoptAttempt(
-                            round_index, node, service.name,
-                            READOPT_REPROGRAMMED,
-                        )
+                report.attempts.append(
+                    ReadoptAttempt(
+                        round_index, node, supervisor.service.name, status
                     )
-                    report.reprogrammed_nodes.append(node)
-                    # A completed push matches by construction, but a
-                    # paranoid controller re-verifies the digest rather
-                    # than trusting its own bookkeeping.
-                    if switch.inventory_digest() != digest:
-                        drifted += 1
-                        if node not in still_drifted:
-                            still_drifted.append(node)
-            pending["drifted"] = drifted
-            report.dark_nodes = dark
-            report.unreachable_nodes = unreachable
-            report.drifted_nodes = still_drifted
+                )
+                nodes = sets[READOPT_FAILED] if drifted else sets.get(status)
+                if nodes is not None and node not in nodes:
+                    nodes.append(node)
+            report.unreachable_nodes = sets[READOPT_UNREACHABLE]
+            report.dark_nodes = sets[READOPT_DARK]
+            report.drifted_nodes = sets[READOPT_FAILED]
 
         policy = RetryPolicy(
             max_attempts=max_rounds,
@@ -902,10 +894,10 @@ class SupervisedRuntime:
             self.network,
             policy,
             sweep,
-            lambda: pending["drifted"],
+            lambda: len(report.drifted_nodes),
             stop_on_no_progress=False,
         )
-        report.converged = pending["drifted"] == 0
+        report.converged = not report.drifted_nodes
         return report
 
     # -- snapshot -------------------------------------------------------- #

@@ -81,8 +81,9 @@ class Switch:
     installed program may have changed: every mutation made through the
     switch's current tables and group table, :meth:`load_program`,
     :meth:`adopt_program`, :meth:`reboot` and
-    :meth:`invalidate_fast_path`.  The fast path's chain cache is valid for
-    one generation, so a packet checks it with one integer compare.
+    :meth:`invalidate_fast_path`.  The fast path's chain cache and the
+    :meth:`inventory_digest` are each valid for one generation, so a packet
+    or a handshake checks them with one integer compare.
     Programs must therefore change through those APIs (an in-place edit of
     an entry or bucket object is followed by :meth:`invalidate_fast_path`
     or ``touch()``).
@@ -114,6 +115,8 @@ class Switch:
         self._faults: SwitchFaultConfig | None = None
         self._fault_rng: Rng | None = None
         self._faults_left = 0
+        #: ``(program_generation, digest)`` of the last inventory digest.
+        self._digest: tuple[int, str] | None = None
         if fast_path:
             self.enable_fast_path()
 
@@ -478,8 +481,22 @@ class Switch:
         information at the paper's message granularity).  The text form is
         deterministic — tables sorted by id, entries in priority/seq order,
         groups in insertion order — so equal configurations hash equally.
+
+        The digest covers the program only (counters and SELECT cursors are
+        not in :meth:`describe`), so it is computed once per
+        :attr:`program_generation` and a handshake with an unchanged switch
+        costs one integer compare.  That relies on the in-place-edit
+        contract: an entry or bucket object edited in place must be
+        followed by ``touch()`` on its table or by
+        :meth:`invalidate_fast_path`, or the digest goes stale along with
+        the fast path.
         """
-        return hashlib.sha256(self.describe().encode()).hexdigest()
+        generation = self.program_generation
+        cached = self._digest
+        if cached is None or cached[0] != generation:
+            digest = hashlib.sha256(self.describe().encode()).hexdigest()
+            cached = self._digest = (generation, digest)
+        return cached[1]
 
     def describe(self) -> str:
         """Multi-line dump of the installed configuration."""

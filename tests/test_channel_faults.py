@@ -7,11 +7,13 @@ import pytest
 from repro.control.channel import ChannelFaultConfig, ControlChannel
 from repro.control.supervisor import RESYNC_UNREACHABLE, SupervisedRuntime
 from repro.core.engine import make_engine
+from repro.core.fields import FIELD_SVC
 from repro.core.services.snapshot import SnapshotService
 from repro.net.simulator import Network
 from repro.net.topology import grid, line, ring
+from repro.openflow.fastpath import FastPath
 from repro.openflow.packet import CONTROLLER_PORT, Packet
-from repro.openflow.switch import PacketOut
+from repro.openflow.switch import PacketOut, Switch
 
 
 def echo_to_controller(net: Network, node: int) -> None:
@@ -311,10 +313,11 @@ class TestCrashResync:
         engine = runtime._supervisors["snapshot"].engine
         # Garble node 4's program while the controller is "dead": drop every
         # flow entry from one table (a crash mid-programming looks like this).
+        # An in-place edit is followed by touch(), as the switch requires.
         switch = engine.switches[4]
         table = next(iter(switch.tables.values()))
         table._entries = []
-        table._sorted = False
+        table.touch()
         report = runtime.resynchronize(0)
         assert report.converged
         assert 4 in report.reprogrammed_nodes
@@ -322,6 +325,56 @@ class TestCrashResync:
         snap = runtime.snapshot(0)
         assert not snap.degraded
         assert snap.nodes == set(range(9))
+
+    def test_garbled_after_a_cached_digest_is_reprogrammed(self):
+        # A first handshake caches every switch's digest (and every
+        # expected digest); garbling through the public API afterwards
+        # must still be seen.
+        net, channel, runtime = self.make_runtime()
+        assert runtime.resynchronize(0).reprogrammed_nodes == []
+        (switch,) = runtime.switches_at(4)
+        table = next(iter(switch.tables.values()))
+        assert table.remove()
+        report = runtime.resynchronize(0)
+        assert report.converged
+        assert report.reprogrammed_nodes == [4]
+        snap = runtime.snapshot(0)
+        assert not snap.degraded
+        assert snap.nodes == set(range(9))
+
+    def test_resync_binds_the_replacement_drain(self, monkeypatch):
+        # The reprogrammed node is bound like every other engine switch:
+        # its arrivals take the new switch's drain entry right away, not
+        # Switch.process until the next supervised call rebinds it.
+        net = Network(grid(3, 3), fast_path=True)
+        runtime = SupervisedRuntime(net, mode="compiled")
+        runtime.snapshot(0)
+        (victim,) = runtime.switches_at(4)
+        victim.crash()
+        victim.reboot()
+        drained, processed = [], []
+        real_drain, real_process = FastPath.drain, Switch.process
+
+        def drain(self, packet, in_port):
+            drained.append(self._switch)
+            return real_drain(self, packet, in_port)
+
+        def process(self, packet, in_port):
+            processed.append(self)
+            return real_process(self, packet, in_port)
+
+        monkeypatch.setattr(FastPath, "drain", drain)
+        monkeypatch.setattr(Switch, "process", process)
+        report = runtime.resynchronize(0)
+        assert report.reprogrammed_nodes == [4]
+        (replacement,) = runtime.switches_at(4)
+        assert replacement is not victim
+        drained.clear()
+        processed.clear()
+        net.inject(4, Packet(fields={FIELD_SVC: SnapshotService().service_id}))
+        net.run()
+        assert drained[0] is replacement
+        assert processed == []
 
     def test_unreachable_switch_reported_not_hung(self):
         net, channel, runtime = self.make_runtime()

@@ -17,15 +17,21 @@ Two determinism contracts back the switch chaos campaigns:
   digest whether the target switch runs the compiled fast path or the
   interpreted scan — and the adopted program must then behave identically
   under scalar and batched processing.
+
+A third contract backs the repair handshake: the inventory digest a switch
+caches per program generation is always the digest of what it holds now.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.openflow.actions import GroupAction, Instructions, Output, SetField
-from repro.openflow.errors import InstallError, TableFullError
+from repro.openflow.errors import InstallError, OpenFlowError, TableFullError
+from repro.openflow.flowtable import FlowEntry
 from repro.openflow.group import Bucket, Group, GroupType
 from repro.openflow.match import Match
 from repro.openflow.packet import Packet, reset_packet_ids
@@ -253,3 +259,108 @@ def test_inactive_fault_config_is_inert(budget, seed):
     bare.adopt_program(expected)
     assert configured.describe() == bare.describe()
     assert configured.inventory_digest() == bare.inventory_digest()
+
+
+PORTS = st.integers(1, 3)
+
+#: One mutation (or read) of a switch, tagged by kind.
+SWITCH_STEPS = st.one_of(
+    st.tuples(st.just("install"), st.integers(0, 1), VALUES, PORTS,
+              st.integers(0, 5)),
+    st.tuples(st.just("remove"), st.integers(0, 1), VALUES),
+    st.tuples(st.just("modify"), st.integers(0, 1), VALUES, PORTS),
+    st.tuples(st.just("group"), st.integers(1, 3), PORTS),
+    st.tuples(st.just("load"), programs()),
+    st.tuples(st.just("adopt"), programs(), st.sampled_from([0.0, 0.5, 1.0]),
+              st.integers(0, 2**32 - 1)),
+    st.tuples(st.just("crash"), st.booleans()),
+    st.tuples(st.just("evict"), st.integers(1, 4), VALUES, st.integers(0, 5)),
+    st.tuples(st.just("edit_entry"), PORTS),
+    st.tuples(st.just("edit_bucket"), PORTS),
+    st.tuples(st.just("process"), VALUES, PORTS),
+)
+
+
+def _program_parts(program):
+    """Fresh (tables, groups) for load_program, copied from a program."""
+    expected = _expected_switch(program)
+    tables: dict[int, list[FlowEntry]] = {}
+    for table_id, entry in expected.iter_entries():
+        tables.setdefault(table_id, []).append(
+            FlowEntry(entry.match, entry.instructions, entry.priority, entry.cookie)
+        )
+    groups = [
+        Group(group.group_id, group.group_type,
+              [Bucket(b.actions, b.watch_port) for b in group.buckets])
+        for group in expected.groups.groups()
+    ]
+    return tables, groups
+
+
+def _apply_step(switch: Switch, step) -> None:
+    kind, *args = step
+    if kind == "install":
+        table_id, value, port, priority = args
+        switch.install(
+            table_id, Match(a=value), Instructions(apply_actions=(Output(port),)),
+            priority,
+        )
+    elif kind == "remove":
+        table_id, value = args
+        switch.table(table_id).remove(match=Match(a=value))
+    elif kind == "modify":
+        table_id, value, port = args
+        switch.table(table_id).modify(
+            Match(a=value), Instructions(apply_actions=(Output(port),))
+        )
+    elif kind == "group":
+        group_id, port = args
+        switch.groups.add(
+            Group(group_id, GroupType.FF,
+                  [Bucket([Output(port)], watch_port=port), Bucket([Output(1)])])
+        )
+    elif kind == "load":
+        switch.load_program(*_program_parts(args[0]))
+    elif kind == "adopt":
+        program, prob, seed = args
+        switch.set_faults(
+            SwitchFaultConfig(partial_install_prob=prob, fail_budget=1, seed=seed)
+        )
+        switch.adopt_program(_expected_switch(program))
+    elif kind == "crash":
+        switch.crash()
+        if args[0]:
+            switch.reboot()
+    elif kind == "evict":
+        capacity, value, priority = args
+        switch.table(0).set_capacity(capacity, evict=True)
+        switch.install(0, Match(a=value), Instructions(), priority)
+    elif kind == "edit_entry":
+        # The documented in-place-edit contract: edit, then touch().
+        for table_id, entry in switch.iter_entries():
+            entry.instructions = Instructions(apply_actions=(Output(args[0]),))
+            switch.tables[table_id].touch()
+            break
+    elif kind == "edit_bucket":
+        for group in switch.groups.groups():
+            group.buckets[0].actions = (Output(args[0]),)
+            switch.groups.touch()
+            break
+    else:
+        value, port = args
+        switch.process(Packet(fields={"a": value}), port)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.booleans(), st.lists(SWITCH_STEPS, min_size=1, max_size=16))
+def test_cached_digest_equals_uncached_digest(fast_path, steps):
+    """After every mutation path a switch has, the generation-cached
+    inventory digest equals a fresh hash of what the switch describes."""
+    switch = Switch(node_id=0, num_ports=3, fast_path=fast_path)
+    for step in steps:
+        try:
+            _apply_step(switch, step)
+        except OpenFlowError:
+            pass  # a rejected or interrupted operation still leaves a program
+        fresh = hashlib.sha256(switch.describe().encode()).hexdigest()
+        assert switch.inventory_digest() == fresh

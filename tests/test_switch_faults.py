@@ -12,6 +12,7 @@ from repro.control.supervisor import (
     SupervisedRuntime,
     SupervisorConfig,
 )
+from repro.core import compiler
 from repro.core.compiler import compile_service
 from repro.openflow.actions import Instructions, Output, SetField
 from repro.openflow.errors import InstallError, TableError, TableFullError
@@ -20,7 +21,7 @@ from repro.openflow.match import Match
 from repro.openflow.packet import Packet
 from repro.openflow.switch import Switch, SwitchFaultConfig
 from repro.net.simulator import Network
-from repro.net.topology import ring
+from repro.net.topology import ring, torus
 
 
 def make_switch(num_ports=4):
@@ -407,3 +408,81 @@ class TestCrashMidTraversal:
         healed = runtime.snapshot(0)
         assert healed.ok
         assert healed.links == network.live_port_pairs()
+
+
+class TestHandshakeWork:
+    """The repair handshake pays only for switches whose program changed.
+
+    Counted in work, not wall time: how many switches render their
+    ``describe()`` text (the digest's cost) and how many programs are
+    compiled, per repair call.
+    """
+
+    REPAIRS = {
+        "readopt": lambda runtime: runtime.readopt(),
+        "resynchronize": lambda runtime: runtime.resynchronize(0),
+    }
+
+    @pytest.fixture
+    def work(self, monkeypatch):
+        described: list[int] = []
+        compiled: list[int] = []
+        real_describe = Switch.describe
+        real_compile = compiler.compile_service
+
+        def describe(self):
+            described.append(self.node_id)
+            return real_describe(self)
+
+        def compile_service(network, node, service, fast_path=None):
+            compiled.append(node)
+            return real_compile(network, node, service, fast_path=fast_path)
+
+        monkeypatch.setattr(Switch, "describe", describe)
+        monkeypatch.setattr(compiler, "compile_service", compile_service)
+        return described, compiled
+
+    def primed(self, repair, work):
+        """A torus fleet after one repair call, with the counters reset."""
+        network = Network(torus(3, 3))
+        runtime = SupervisedRuntime(
+            network, mode="compiled", channel=ControlChannel(network)
+        )
+        assert runtime.snapshot(0).ok
+        report = self.REPAIRS[repair](runtime)
+        assert report.converged and report.reprogrammed_nodes == []
+        for counter in work:
+            counter.clear()
+        return network, runtime
+
+    @pytest.mark.parametrize("repair", sorted(REPAIRS))
+    def test_unchanged_fleet_costs_nothing(self, repair, work):
+        _network, runtime = self.primed(repair, work)
+        report = self.REPAIRS[repair](runtime)
+        assert report.converged and report.reprogrammed_nodes == []
+        assert work == ([], [])
+
+    @pytest.mark.parametrize("repair", sorted(REPAIRS))
+    def test_rebooted_victims_cost_their_own_work(self, repair, work):
+        _network, runtime = self.primed(repair, work)
+        victims = [2, 7]
+        for node in victims:
+            for switch in runtime.switches_at(node):
+                switch.crash()
+                switch.reboot()
+        report = self.REPAIRS[repair](runtime)
+        described, compiled = work
+        assert report.converged
+        assert sorted(report.reprogrammed_nodes) == victims
+        # A bare digest, then the post-push re-verify, per victim.
+        assert len(described) <= 2 * len(victims)
+        assert set(described) <= set(victims)
+        assert sorted(compiled) == victims
+
+    def test_degree_change_recompiles_exactly_that_node(self, work):
+        network, runtime = self.primed("readopt", work)
+        topology = network.topology
+        topology.add_link(5, topology.add_node())
+        runtime.readopt()
+        _described, compiled = work
+        assert compiled == [5]
