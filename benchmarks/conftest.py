@@ -34,14 +34,6 @@ def pytest_addoption(parser):
         "throughput measured in this run (use after an intentional change).",
     )
     parser.addoption(
-        "--update-shardcheck-baseline",
-        action="store_true",
-        default=False,
-        help="Rewrite benchmarks/baselines/shardcheck_baseline.json with "
-        "the throughput measured in this run (use after an intentional "
-        "change).",
-    )
-    parser.addoption(
         "--update-robustness-baseline",
         action="store_true",
         default=False,

@@ -17,19 +17,18 @@ from pathlib import Path
 
 from repro.analysis.static.findings import SanFinding, replace
 
-#: The committed baselines' filenames, discovered by walking up from the
-#: scan root (so they live at the repo root, beside pyproject.toml).
+#: The committed baseline's filename, discovered by walking up from the
+#: scan root (so it lives at the repo root, beside pyproject.toml).
 BASELINE_NAME = "sancheck-baseline.json"
-SHARD_BASELINE_NAME = "shardcheck-baseline.json"
 
 _KEY_FIELDS = ("rule", "path", "scope", "code")
 
 
-def discover_baseline(start: Path, name: str = BASELINE_NAME) -> Path | None:
-    """The nearest baseline file called *name* at or above *start*."""
+def discover_baseline(start: Path) -> Path | None:
+    """The nearest ``sancheck-baseline.json`` at or above *start*."""
     start = start.resolve()
     for candidate in [start, *start.parents]:
-        path = candidate / name
+        path = candidate / BASELINE_NAME
         if path.is_file():
             return path
     return None

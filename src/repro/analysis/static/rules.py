@@ -3,17 +3,17 @@
 Every rule is a :func:`~repro.analysis.static.findings.san_rule`-decorated
 generator over one :class:`~repro.analysis.static.walker.ModuleModel`;
 third-party rules register the same way.  The catalogue, with the hazard
-each rule encodes for the sharded-simulator roadmap, lives in
-``docs/STATIC_ANALYSIS.md``.
+each rule encodes, lives in ``docs/STATIC_ANALYSIS.md``.
 
-Determinism rules flag sources of run-to-run divergence: process-global or
-OS-entropy randomness, wall-clock reads outside the allowlisted provider,
+Determinism rules flag sources of run-to-run divergence, which break the
+repository's oracle that a same-seed rerun is byte-identical: process-global
+or OS-entropy randomness, wall-clock reads outside the allowlisted provider,
 hash-order escaping into iteration/serialization, and allocation-order
 (``id()``) or ``PYTHONHASHSEED``-dependent (``hash()``) values used where
-order matters.  Shared-state rules flag the mutation patterns that turn
-into cross-process races the moment the simulator shards: module globals
-mutated from functions, class attributes mutated through ``self`` aliasing,
-and mutable default arguments.
+order matters.  Shared-state rules flag mutable state that outlives one
+engine, so two engines (or two tests) in one process see each other's
+writes: module globals mutated from functions, class attributes mutated
+through ``self`` aliasing, and mutable default arguments.
 """
 
 from __future__ import annotations
@@ -124,9 +124,9 @@ def check_unseeded_rng(model: ModuleModel, rule: SanRule):
     """Process-global or unseeded randomness: ``random.random()`` and
     friends share one hidden global stream (any new caller perturbs every
     existing one), and ``random.Random()`` with no seed reads OS entropy.
-    Both make runs unreproducible; under sharding the global stream also
-    becomes a cross-process divergence.  Only the central provider module
-    may construct RNGs."""
+    Both make runs unreproducible, and two engines in one process drawing
+    from the global stream perturb each other's sequences.  Only the
+    central provider module may construct RNGs."""
     if model.relpath in PROVIDER_MODULES:
         return
     for call, origin in _calls(model):
@@ -308,9 +308,9 @@ def check_unordered_iteration(model: ModuleModel, rule: SanRule):
 def check_id_identity(model: ModuleModel, rule: SanRule):
     """Builtin ``id()`` used outside a direct identity comparison: its
     value is an allocation address, so using it as a key, tag, or ordering
-    input ties behaviour to the allocator — unreproducible across runs and
-    meaningless across shard processes.  ``id(a) == id(b)`` (same-process
-    identity, better spelled ``a is b``) is tolerated."""
+    input ties behaviour to the allocator, so reruns are not
+    byte-identical.  ``id(a) == id(b)`` (same-process identity, better
+    spelled ``a is b``) is tolerated."""
     for call, origin in _calls(model):
         if origin != "builtins.id":
             continue
@@ -358,17 +358,26 @@ def check_hash_order(model: ModuleModel, rule: SanRule):
     "global-mutation",
     SEVERITY_ERROR,
     fix_hint="pass the state in explicitly (constructor/parameter); a "
-    "module global mutated at runtime is per-process state the sharded "
-    "simulator will silently fork",
+    "module global mutated at runtime is shared by every engine in the "
+    "process and leaks from one run into the next",
 )
 def check_global_mutation(model: ModuleModel, rule: SanRule):
-    """A module-level mutable container mutated from inside a function or
-    method: hidden global state.  Two engines in one process already share
-    it accidentally; two shard processes each get a diverging copy.
-    Import-time initialization (module-level statements) is exempt, as are
-    locals shadowing the global name."""
+    """A module global mutated from inside a function or method: hidden
+    global state that two engines in one process share accidentally, and
+    that a rerun in the same process starts from wherever the last run
+    left it.  Covers in-place mutation of a module-level container and any
+    write to a name the function declares ``global`` (a scalar counter
+    included).  Import-time initialization (module-level statements) is
+    exempt, as are locals shadowing the global name."""
     mutables = model.module_mutables
-    if not mutables:
+    # The text test skips the tree walk in modules that never say "global".
+    declared = {
+        name
+        for node in (ast.walk(model.tree) if "global" in model.source else ())
+        if isinstance(node, ast.Global)
+        for name in node.names
+    }
+    if not mutables and not declared:
         return
 
     def target_name(node) -> str | None:
@@ -404,22 +413,24 @@ def check_global_mutation(model: ModuleModel, rule: SanRule):
 
     for node in ast.walk(model.tree):
         name = target_name(node)
-        if name is None or name not in mutables:
+        if name is None or (name not in mutables and name not in declared):
             continue
         scope = model.enclosing(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         if scope is None:
             continue  # import-time init on the module body
-        plain_rebind = isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) for t in node.targets
-        )
-        if plain_rebind and not declares_global(scope, name):
-            continue  # binds a local, not the global
-        if is_local_name(scope, name):
-            continue  # a local shadows the global name
+        if not declares_global(scope, name):
+            if name not in mutables:
+                continue
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) for t in node.targets
+            ):
+                continue  # binds a local, not the global
+            if is_local_name(scope, name):
+                continue  # a local shadows the global name
         yield rule.finding(
             model,
             node,
-            f"module-level mutable {name!r} mutated inside "
+            f"module global {name!r} mutated inside "
             f"{model.qualname(node)}()",
         )
 
@@ -535,9 +546,9 @@ def _mutated_self_attr(node, self_name: str) -> str | None:
 )
 def check_mutable_default(model: ModuleModel, rule: SanRule):
     """A mutable default argument is evaluated once at def time and shared
-    by every call — state leaks between calls within a process and forks
-    between shard processes.  Immutable defaults (None, tuples,
-    frozensets) are fine."""
+    by every call — state leaks from one call, engine or run into the next
+    within a process.  Immutable defaults (None, tuples, frozensets) are
+    fine."""
     for node in ast.walk(model.tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue

@@ -1,28 +1,19 @@
-"""Drive the sanitizers: parse → rules → suppressions → baseline → report.
+"""Drive the sanitizer: parse → rules → suppressions → baseline → report.
 
-Two passes share this driver.  ``run_sancheck`` is the per-site pass
-(``DET``/``RACE`` over one module at a time); ``run_shardcheck`` is the
-interprocedural pass — call graph, effect fixpoint, ownership manifest,
-``EFF``/``SHARD`` rules — with its own baseline file and the committed
-effect-summary artifact (``shardcheck-effects.json``) as the declared
-sharding contract.
-
-Both accept *multiple roots* (``--root`` is repeatable): each root's
-findings are keyed relative to the root's parent, so scanning
+``run_sancheck`` runs the per-site ``DET``/``RACE`` rules over one module
+at a time.  It accepts *multiple roots* (``--root`` is repeatable): each
+root's findings are keyed relative to the root's parent, so scanning
 ``src/repro`` yields ``repro/...`` paths (stable baselines) and scanning
 ``benchmarks/`` from the repo root yields ``benchmarks/...``.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.analysis.static import rules as _rules  # noqa: F401 - registers
 from repro.analysis.static.baseline import (
-    SHARD_BASELINE_NAME,
     apply_baseline,
     discover_baseline,
     load_baseline,
@@ -35,36 +26,12 @@ from repro.analysis.static.findings import (
 )
 from repro.analysis.static.walker import ModuleModel, build_models
 
-#: The committed per-public-API effect summary (the sharding contract),
-#: discovered like the baselines by walking up from the scan root.
-EFFECTS_NAME = "shardcheck-effects.json"
-
-
-@dataclass(frozen=True)
-class SanConfig:
-    """Knobs for one sanitizer run (CLI flags map straight onto these)."""
-
-    disable: frozenset[str] = frozenset()
-    #: Restrict the run to these rule ids (None = all registered).
-    rules: tuple[str, ...] | None = None
-
 
 def default_scan_root() -> Path:
     """The installed ``repro`` package directory (the repro source)."""
     import repro
 
     return Path(repro.__file__).resolve().parent
-
-
-def build_root_models(
-    roots: Sequence[Path], rel_base: Path | None = None
-) -> list[ModuleModel]:
-    """Parse every root; findings are keyed relative to each root's own
-    parent (unless *rel_base* pins one anchor for all of them)."""
-    models: list[ModuleModel] = []
-    for root in roots:
-        models.extend(build_models(Path(root).resolve(), rel_base=rel_base))
-    return models
 
 
 def _path_map(models: Iterable[ModuleModel]) -> dict[str, str]:
@@ -82,14 +49,12 @@ def _path_map(models: Iterable[ModuleModel]) -> dict[str, str]:
 
 
 def analyze_models(
-    models: Iterable[ModuleModel], config: SanConfig | None = None
+    models: Iterable[ModuleModel], disable: frozenset[str] = frozenset()
 ) -> tuple[list[SanFinding], list[str]]:
-    """Run the selected rules over parsed modules; apply suppressions."""
-    config = config or SanConfig()
+    """Run every registered rule not in *disable* over parsed modules;
+    apply suppressions."""
     selected = [
-        SAN_RULES[rule_id]
-        for rule_id in (config.rules if config.rules is not None else SAN_RULES)
-        if rule_id in SAN_RULES and rule_id not in config.disable
+        rule for rule_id, rule in SAN_RULES.items() if rule_id not in disable
     ]
     findings: list[SanFinding] = []
     for model in models:
@@ -106,7 +71,7 @@ def run_sancheck(
     root: Path | None = None,
     rel_base: Path | None = None,
     baseline_path: Path | None = None,
-    config: SanConfig | None = None,
+    disable: frozenset[str] = frozenset(),
     use_baseline: bool = True,
     roots: Sequence[Path] | None = None,
 ) -> SanReport:
@@ -122,8 +87,12 @@ def run_sancheck(
         scan_roots.insert(0, Path(root).resolve())
     if not scan_roots:
         scan_roots = [default_scan_root()]
-    models = build_root_models(scan_roots, rel_base=rel_base)
-    findings, rules_run = analyze_models(models, config)
+    models = [
+        model
+        for scan_root in scan_roots
+        for model in build_models(scan_root, rel_base=rel_base)
+    ]
+    findings, rules_run = analyze_models(models, disable)
     stale: list[dict] = []
     resolved_baseline: Path | None = None
     if use_baseline:
@@ -144,173 +113,4 @@ def run_sancheck(
         baseline_path=str(resolved_baseline) if resolved_baseline else None,
         stale_baseline=stale,
         path_map=_path_map(models),
-    )
-
-
-# --------------------------------------------------------------------- #
-# Interprocedural pass                                                  #
-# --------------------------------------------------------------------- #
-
-
-@dataclass
-class ShardReport(SanReport):
-    """A sanitizer report plus the interprocedural evidence behind it."""
-
-    #: Call-graph resolution stats (rate, per-reason unresolved counts).
-    resolution: dict = field(default_factory=dict)
-    #: Every unresolved call site, as dicts (counted, never dropped).
-    unresolved: list[dict] = field(default_factory=list)
-    #: Computed per-public-API effect summary (fqn -> sorted atoms).
-    effects: dict[str, list[str]] = field(default_factory=dict)
-    #: Path of the committed effect summary, when one was found.
-    effects_path: str | None = None
-
-    def summary(self) -> str:
-        rate = self.resolution.get("resolution_rate", 0.0)
-        return (
-            f"shardcheck: {len(self.active)} new, "
-            f"{len(self.baselined)} baselined, "
-            f"{len(self.suppressed)} suppressed finding(s) "
-            f"across {self.files} file(s); "
-            f"{rate:.1%} of {self.resolution.get('call_sites', 0)} call "
-            f"sites resolved ({self.resolution.get('unresolved', 0)} "
-            f"unresolved, reported)"
-        )
-
-    def to_json(self) -> dict:
-        payload = super().to_json()
-        payload["resolution"] = self.resolution
-        payload["unresolved_sites"] = self.unresolved
-        payload["effects"] = self.effects
-        payload["effects_path"] = self.effects_path
-        return payload
-
-    def effects_payload(self) -> dict:
-        """The committed-artifact shape for ``--write-effects``."""
-        return {
-            "_comment": (
-                "Per-public-API transitive effect summary — the declared "
-                "sharding contract. EFF003 flags drift against this file. "
-                "Regenerate with: smartsouth shardcheck --write-effects"
-            ),
-            "version": 1,
-            "apis": self.effects,
-        }
-
-
-def analyze_program(
-    models: list[ModuleModel],
-    config: SanConfig | None = None,
-    manifest=None,
-    committed_effects: dict[str, list[str]] | None = None,
-):
-    """Build the call graph + effect table and run the IPA rules.
-
-    Returns ``(findings, rules_run, program, table)`` — the corpus tests
-    and the shardcheck driver share this path.
-    """
-    from repro.analysis.static.callgraph import build_program
-    from repro.analysis.static.effects import build_effect_table
-    from repro.analysis.static.shardmodel import default_manifest
-    from repro.analysis.static.shardrules import IPA_RULES, ShardContext
-
-    config = config or SanConfig()
-    manifest = manifest or default_manifest()
-    program = build_program(models)
-    table = build_effect_table(program, manifest)
-    ctx = ShardContext(
-        program=program,
-        manifest=manifest,
-        table=table,
-        committed_effects=committed_effects,
-    )
-    selected = [
-        IPA_RULES[rule_id]
-        for rule_id in (config.rules if config.rules is not None else IPA_RULES)
-        if rule_id in IPA_RULES and rule_id not in config.disable
-    ]
-    findings: list[SanFinding] = []
-    for rule in selected:
-        for finding in rule.func(ctx, rule):
-            model = program.models_by_path.get(finding.path)
-            if model is not None and model.is_suppressed(
-                finding.line, finding.rule
-            ):
-                finding = replace(finding, suppressed=True)
-            findings.append(finding)
-    findings.sort(key=lambda f: (f.path, f.line, f.rule))
-    return findings, [rule.rule_id for rule in selected], program, table
-
-
-def load_effects(path: Path) -> dict[str, list[str]]:
-    """The committed effect summary's ``apis`` table."""
-    data = json.loads(Path(path).read_text())
-    return {fqn: list(atoms) for fqn, atoms in data.get("apis", {}).items()}
-
-
-def run_shardcheck(
-    root: Path | None = None,
-    rel_base: Path | None = None,
-    baseline_path: Path | None = None,
-    config: SanConfig | None = None,
-    use_baseline: bool = True,
-    roots: Sequence[Path] | None = None,
-    effects_path: Path | None = None,
-    use_effects: bool = True,
-) -> ShardReport:
-    """The whole-program pass: call graph, effects, EFF/SHARD rules.
-
-    Baselined separately from sancheck (``shardcheck-baseline.json``);
-    the committed effect summary is discovered the same way and feeds
-    EFF003 (drift) when present.
-    """
-    scan_roots = [Path(r).resolve() for r in (roots or [])]
-    if root is not None:
-        scan_roots.insert(0, Path(root).resolve())
-    if not scan_roots:
-        scan_roots = [default_scan_root()]
-    models = build_root_models(scan_roots, rel_base=rel_base)
-
-    committed: dict[str, list[str]] | None = None
-    resolved_effects: Path | None = None
-    if use_effects:
-        resolved_effects = (
-            Path(effects_path)
-            if effects_path
-            else discover_baseline(scan_roots[0], name=EFFECTS_NAME)
-        )
-        if resolved_effects is not None and resolved_effects.is_file():
-            committed = load_effects(resolved_effects)
-        else:
-            resolved_effects = None
-
-    findings, rules_run, program, table = analyze_program(
-        models, config, committed_effects=committed
-    )
-
-    stale: list[dict] = []
-    resolved_baseline: Path | None = None
-    if use_baseline:
-        resolved_baseline = (
-            Path(baseline_path)
-            if baseline_path
-            else discover_baseline(scan_roots[0], name=SHARD_BASELINE_NAME)
-        )
-        if resolved_baseline is not None and resolved_baseline.is_file():
-            findings, stale = apply_baseline(
-                findings, load_baseline(resolved_baseline)
-            )
-
-    return ShardReport(
-        findings=findings,
-        files=len(models),
-        rules_run=rules_run,
-        root=", ".join(str(r) for r in scan_roots),
-        baseline_path=str(resolved_baseline) if resolved_baseline else None,
-        stale_baseline=stale,
-        path_map=_path_map(models),
-        resolution=program.resolution_stats(),
-        unresolved=[e.to_dict() for e in program.unresolved_sites()],
-        effects=table.public_summary(),
-        effects_path=str(resolved_effects) if resolved_effects else None,
     )

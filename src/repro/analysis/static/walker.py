@@ -24,7 +24,7 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 #: Modules whose members the resolver tracks.
 _TRACKED_MODULES = (
@@ -435,10 +435,3 @@ def declares_global(scope: ast.AST, name: str) -> bool:
         for stmt in _scope_statements(scope)
     )
 
-
-def function_scopes(model: ModuleModel) -> Iterable[ast.AST]:
-    return [
-        node
-        for node in ast.walk(model.tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    ]

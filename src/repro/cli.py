@@ -256,16 +256,35 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 2 if warnings else 0
 
 
+def _disabled_ids(args: argparse.Namespace, registry) -> frozenset[str]:
+    """The ``--disable`` ids, rejecting any *registry* does not hold (a
+    typo would otherwise disable nothing without a word)."""
+    disabled = frozenset(args.disable or [])
+    unknown = sorted(disabled - set(registry))
+    if unknown:
+        raise SystemExit(
+            f"unknown rule id(s) {', '.join(unknown)}; "
+            f"pick from {sorted(registry)}"
+        )
+    return disabled
+
+
 def cmd_lint(args: argparse.Namespace) -> int:
     import json
 
-    from repro.analysis.lint import DEFAULT_WALK_BUDGET, LintConfig, lint_engine
+    from repro.analysis.lint import (
+        DEFAULT_WALK_BUDGET,
+        LINT_RULES,
+        LintConfig,
+        lint_engine,
+    )
     from repro.core.engine import make_engine
 
+    disabled = _disabled_ids(args, LINT_RULES)
     topo = build_topology(args)
     engine = make_engine(Network(topo), _build_service(args), "compiled")
     config = LintConfig(
-        disable=frozenset(args.disable or []),
+        disable=disabled,
         max_states=args.max_states or DEFAULT_WALK_BUDGET,
         roots=tuple(int(r) for r in args.roots.split(","))
         if args.roots
@@ -282,20 +301,26 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return report.exit_code
 
 
-def _baseline_workflow(args: argparse.Namespace, report, default_name: str):
-    """The write/prune baseline verbs shared by sancheck and shardcheck.
-
-    Returns an exit code when the invocation was a baseline operation
-    (the command is done), else None (continue to reporting).
-    """
+def cmd_sancheck(args: argparse.Namespace) -> int:
+    import json
     from pathlib import Path
 
-    from repro.analysis.static import write_baseline
-    from repro.analysis.static.baseline import prune_baseline
+    from repro.analysis.static import (
+        BASELINE_NAME,
+        SAN_RULES,
+        prune_baseline,
+        run_sancheck,
+        write_baseline,
+    )
 
-    baseline = Path(args.baseline) if args.baseline else None
+    report = run_sancheck(
+        roots=[Path(r) for r in (args.root or [])] or None,
+        baseline_path=Path(args.baseline) if args.baseline else None,
+        disable=_disabled_ids(args, SAN_RULES),
+        use_baseline=not args.no_baseline,
+    )
     if args.write_baseline:
-        target = baseline or Path(report.baseline_path or default_name)
+        target = Path(args.baseline or report.baseline_path or BASELINE_NAME)
         unsuppressed = [f for f in report.findings if not f.suppressed]
         write_baseline(target, unsuppressed)
         print(f"wrote {len(unsuppressed)} finding(s) to {target}")
@@ -313,40 +338,6 @@ def _baseline_workflow(args: argparse.Namespace, report, default_name: str):
             f"{kept} kept in {report.baseline_path}"
         )
         return 0
-    return None
-
-
-def _emit_report(args: argparse.Namespace, report, payload) -> None:
-    import json
-
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    elif getattr(args, "format", "text") == "github":
-        annotations = report.format_github()
-        if annotations:
-            print(annotations)
-        print(report.summary())
-    else:
-        print(report.format_text(show_silenced=args.show_silenced))
-
-
-def cmd_sancheck(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.analysis.static import SanConfig, run_sancheck
-
-    config = SanConfig(disable=frozenset(args.disable or []))
-    roots = [Path(r) for r in (args.root or [])] or None
-    baseline = Path(args.baseline) if args.baseline else None
-    report = run_sancheck(
-        roots=roots,
-        baseline_path=baseline,
-        config=config,
-        use_baseline=not args.no_baseline,
-    )
-    done = _baseline_workflow(args, report, "sancheck-baseline.json")
-    if done is not None:
-        return done
 
     exit_code = report.exit_code
     if args.fail_on_stale and report.stale_baseline:
@@ -359,7 +350,15 @@ def cmd_sancheck(args: argparse.Namespace) -> int:
         payload["double_run"] = gate.to_dict()
         if not gate.ok:
             exit_code = 1
-    _emit_report(args, report, payload)
+    if args.json:
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    elif args.format == "github":
+        annotations = report.format_github()
+        if annotations:
+            print(annotations)
+        print(report.summary())
+    else:
+        print(report.format_text(show_silenced=args.show_silenced))
     if args.double_run and not args.json:
         print_gate = payload["double_run"]
         print(f"double-run gate: {'OK' if print_gate['ok'] else 'FAILED'} "
@@ -369,71 +368,7 @@ def cmd_sancheck(args: argparse.Namespace) -> int:
             print(f"  MISMATCH {mismatch}")
         for error in print_gate["errors"]:
             print(f"  error: {error}")
-    if args.interprocedural:
-        shard_code = _run_shardcheck_common(args)
-        exit_code = max(exit_code, shard_code)
     return exit_code
-
-
-def _run_shardcheck_common(args: argparse.Namespace) -> int:
-    """One interprocedural pass, honoring the shared sanitizer flags."""
-    import json
-    from pathlib import Path
-
-    from repro.analysis.static import SanConfig
-    from repro.analysis.static.runner import run_shardcheck
-
-    config = SanConfig(disable=frozenset(args.disable or []))
-    roots = [Path(r) for r in (args.root or [])] or None
-    baseline = (
-        Path(args.baseline)
-        if getattr(args, "interprocedural", False) is False and args.baseline
-        else None
-    )
-    report = run_shardcheck(
-        roots=roots,
-        baseline_path=baseline,
-        config=config,
-        use_baseline=not args.no_baseline,
-        effects_path=(
-            Path(args.effects) if getattr(args, "effects", None) else None
-        ),
-        use_effects=not getattr(args, "no_effects", False),
-    )
-    if getattr(args, "write_effects", False):
-        target = Path(args.effects) if getattr(args, "effects", None) else (
-            Path(report.effects_path)
-            if report.effects_path
-            else Path("shardcheck-effects.json")
-        )
-        target.write_text(
-            json.dumps(report.effects_payload(), indent=2, sort_keys=True)
-            + "\n"
-        )
-        print(f"wrote {len(report.effects)} API effect summaries to {target}")
-        return 0
-    done = _baseline_workflow(args, report, "shardcheck-baseline.json")
-    if done is not None:
-        return done
-
-    exit_code = report.exit_code
-    if args.fail_on_stale and report.stale_baseline:
-        exit_code = 1
-    min_resolution = getattr(args, "min_resolution", None)
-    if min_resolution is not None:
-        rate = report.resolution.get("resolution_rate", 0.0)
-        if rate < min_resolution:
-            print(
-                f"shardcheck: call-site resolution {rate:.1%} below the "
-                f"--min-resolution gate {min_resolution:.1%}"
-            )
-            exit_code = 1
-    _emit_report(args, report, report.to_json())
-    return exit_code
-
-
-def cmd_shardcheck(args: argparse.Namespace) -> int:
-    return _run_shardcheck_common(args)
 
 
 def _build_check_service(args: argparse.Namespace, topo: Topology):
@@ -456,9 +391,10 @@ def _build_check_service(args: argparse.Namespace, topo: Topology):
 def cmd_check(args: argparse.Namespace) -> int:
     import json
 
-    from repro.analysis.modelcheck import CheckConfig, check_engine
+    from repro.analysis.modelcheck import INVARIANTS, CheckConfig, check_engine
     from repro.core.engine import make_engine
 
+    disabled = _disabled_ids(args, INVARIANTS)
     topo = build_topology(args)
     service = _build_check_service(args, topo)
     engine = make_engine(Network(topo), service, "compiled")
@@ -467,7 +403,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         max_triggers=args.max_triggers,
         depth=args.depth_limit,
         max_states=args.max_states or CheckConfig.max_states,
-        disable=set(args.disable or []),
+        disable=set(disabled),
         roots=tuple(int(r) for r in args.roots.split(","))
         if args.roots
         else None,
@@ -680,97 +616,60 @@ def make_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(fn=cmd_lint)
 
-    def add_sanitizer_flags(p, baseline_name: str) -> None:
-        """The flags sancheck and shardcheck share."""
-        p.add_argument("--json", action="store_true",
-                       help="emit the full report as JSON")
-        p.add_argument(
-            "--format", choices=("text", "github"), default="text",
-            help="output format: plain text or GitHub workflow "
-            "annotations (::error file=…)",
-        )
-        p.add_argument(
-            "--root", action="append", metavar="PATH",
-            help="directory or file to scan (repeatable; default: the "
-            "repro package). Findings are keyed relative to each "
-            "root's parent, so baselines stay stable.",
-        )
-        p.add_argument(
-            "--baseline", default=None,
-            help=f"baseline file (default: nearest {baseline_name} "
-            "above the first scan root)",
-        )
-        p.add_argument(
-            "--no-baseline", action="store_true", dest="no_baseline",
-            help="ignore any baseline: report every finding as new",
-        )
-        p.add_argument(
-            "--write-baseline", action="store_true", dest="write_baseline",
-            help="write current unsuppressed findings as the new baseline",
-        )
-        p.add_argument(
-            "--prune-baseline", action="store_true", dest="prune_baseline",
-            help="drop baseline entries no current finding matches "
-            "(the ratchet: fixed sites stay fixed)",
-        )
-        p.add_argument(
-            "--fail-on-stale", action="store_true", dest="fail_on_stale",
-            help="exit 1 when the baseline has stale entries (CI keeps "
-            "the baseline shrinking)",
-        )
-        p.add_argument(
-            "--show-silenced", action="store_true", dest="show_silenced",
-            help="also list suppressed and baselined findings",
-        )
-        p.add_argument(
-            "--disable", action="append", metavar="RULE",
-            help="disable a sanitizer rule id, e.g. DET005 (repeatable)",
-        )
-
     p = sub.add_parser(
         "sancheck",
         help="determinism & shared-state sanitizer over the repro source",
     )
-    add_sanitizer_flags(p, "sancheck-baseline.json")
+    p.add_argument("--json", action="store_true",
+                   help="emit the full report as JSON")
+    p.add_argument(
+        "--format", choices=("text", "github"), default="text",
+        help="output format: plain text or GitHub workflow "
+        "annotations (::error file=…)",
+    )
+    p.add_argument(
+        "--root", action="append", metavar="PATH",
+        help="directory or file to scan (repeatable; default: the "
+        "repro package). Findings are keyed relative to each "
+        "root's parent, so baselines stay stable.",
+    )
+    p.add_argument(
+        "--baseline", default=None,
+        help="baseline file (default: nearest sancheck-baseline.json "
+        "above the first scan root)",
+    )
+    p.add_argument(
+        "--no-baseline", action="store_true", dest="no_baseline",
+        help="ignore any baseline: report every finding as new",
+    )
+    p.add_argument(
+        "--write-baseline", action="store_true", dest="write_baseline",
+        help="write current unsuppressed findings as the new baseline",
+    )
+    p.add_argument(
+        "--prune-baseline", action="store_true", dest="prune_baseline",
+        help="drop baseline entries no current finding matches "
+        "(the ratchet: fixed sites stay fixed)",
+    )
+    p.add_argument(
+        "--fail-on-stale", action="store_true", dest="fail_on_stale",
+        help="exit 1 when the baseline has stale entries (CI keeps "
+        "the baseline shrinking)",
+    )
+    p.add_argument(
+        "--show-silenced", action="store_true", dest="show_silenced",
+        help="also list suppressed and baselined findings",
+    )
+    p.add_argument(
+        "--disable", action="append", metavar="RULE",
+        help="disable a sanitizer rule id, e.g. DET005 (repeatable)",
+    )
     p.add_argument(
         "--double-run", action="store_true", dest="double_run",
         help="also run the PYTHONHASHSEED double-run gate over the "
         "golden scenario matrix (two subprocesses)",
     )
-    p.add_argument(
-        "--interprocedural", action="store_true", dest="interprocedural",
-        help="also run the interprocedural shardcheck pass (its own "
-        "baseline; exit 1 if either pass fails)",
-    )
     p.set_defaults(fn=cmd_sancheck)
-
-    p = sub.add_parser(
-        "shardcheck",
-        help="interprocedural effect & ownership analyzer (the "
-        "multi-process sharding contract)",
-    )
-    add_sanitizer_flags(p, "shardcheck-baseline.json")
-    p.add_argument(
-        "--effects", default=None, metavar="PATH",
-        help="committed effect-summary file (default: nearest "
-        "shardcheck-effects.json above the first scan root)",
-    )
-    p.add_argument(
-        "--no-effects", action="store_true", dest="no_effects",
-        help="skip the committed effect summary (disables EFF003 drift)",
-    )
-    p.add_argument(
-        "--write-effects", action="store_true", dest="write_effects",
-        help="write the computed per-public-API effect summary as the "
-        "new declared contract",
-    )
-    p.add_argument(
-        "--min-resolution", type=float, default=None, dest="min_resolution",
-        metavar="RATE",
-        help="exit 1 if the call-graph resolves fewer than RATE "
-        "(e.g. 0.9) of intra-package call sites",
-    )
-    p.set_defaults(fn=cmd_shardcheck)
 
     p = sub.add_parser(
         "check",

@@ -2,17 +2,17 @@
 
 Every pillar of the reproduction — golden traces, counterexample replay,
 seeded chaos, the fast-path differential suite — rests on runs being
-bit-for-bit deterministic, and the roadmap's sharded simulator will demand
-that determinism *per worker process*.  So randomness and time are
-centralized here:
+bit-for-bit deterministic: a rerun with the same seed must produce the
+same bytes, in a fresh process or beside other engines in this one.  So
+randomness and time are centralized here:
 
 * **Randomness** comes only from :func:`seeded_rng` (a fresh
   ``random.Random`` with an explicit seed — never the process-global RNG,
   never OS entropy) or from :func:`derive_rng`, which derives stable
   sub-seeds from a master seed and string labels.  Sub-seed derivation uses
   SHA-256, *not* the builtin ``hash()``, so it is identical across
-  processes and ``PYTHONHASHSEED`` values — a requirement once seeds are
-  dealt out to shard workers.
+  processes and ``PYTHONHASHSEED`` values, which is what lets a report
+  written by one process be byte-compared against a rerun in another.
 * **Time** is the simulator's virtual clock (``network.sim.now``) or the
   packet-step logical clock (``network.packet_steps``); wall-clock reads
   are confined to :func:`wall_clock`, which exists for benchmark harnesses
@@ -75,9 +75,8 @@ class PacketIdAllocator:
     Packet ids are bookkeeping, never matched on — but they appear in
     traces, so byte-identical replay needs a resettable, deterministic
     source.  Owning the cursor as instance state (instead of rebinding a
-    module-level ``itertools.count``, the old EFF001 debt in
-    ``shardcheck-baseline.json``) keeps the mutation inside one object the
-    sharded simulator can place per worker or proxy across the channel.
+    module-level ``itertools.count``) keeps the mutation inside one object,
+    so two engines in one process cannot perturb each other's ids.
     """
 
     def __init__(self, start: int = 1) -> None:

@@ -206,7 +206,6 @@ class CompiledEngine(_BaseEngine):
             )
 
     def _bind_handlers(self) -> None:
-        # repro: allow[SHARD001] install-time drain-mode config, pre-run
         self.network.batch = self.batch
         _bind_switches(self.network, self.switches, self.batch)
 
@@ -297,7 +296,6 @@ class MultiServiceEngine:
         self.network.set_controller_sink(self._on_report, passive=True)
         self.network.set_delivery_sink(self._on_delivery, passive=True)
         if self.mode == "compiled":
-            # repro: allow[SHARD001] install-time drain-mode config, pre-run
             self.network.batch = self.batch
             _bind_switches(self.network, self.switches, self.batch)
         else:

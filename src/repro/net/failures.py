@@ -107,7 +107,6 @@ def fail_edge_after_steps(network: Network, edge_id: int, steps: int) -> None:
         raise ValueError(f"no edge {edge_id} in {network.topology.name}")
 
     def _kill() -> None:
-        # repro: allow[SHARD001] deferred write of the injection seam above
         network.links[edge_id].up = False
 
     network.at_packet_step(steps, _kill)

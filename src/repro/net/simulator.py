@@ -534,7 +534,6 @@ class Network:
                     TraceEvent(now, pipeline_drop, node, items[index][0].packet_id)
                 )
             steps = self.packet_steps + 1
-            # repro: allow[SHARD001] owner's own drain loop: scalar-order step count
             self.packet_steps = steps
             fired = hooks.pop(steps, None)
             if fired is not None:
@@ -542,7 +541,6 @@ class Network:
                     fn()
             # Error accounting: a later failure is charged to the *next*
             # packet (that is where it would surface in scalar mode).
-            # repro: allow[SHARD001] owner's own drain loop: error watermark
             self._segment_watermark = min(base + index + 2, end)
 
         self._segment_watermark = base + 1

@@ -43,7 +43,7 @@ _RESERVED_PORT_NAMES = {
 }
 
 # Packet-id allocation lives in the determinism provider (an owned
-# allocator object, shard-ready); ``reset_packet_ids`` is re-exported here
+# allocator object, not a module global); ``reset_packet_ids`` is re-exported here
 # because tests and benches historically import it from this module.
 __all__ = [
     "CONTROLLER_PORT",

@@ -32,6 +32,19 @@ def bad_global_shuffle(items):
     return items
 
 
+def bad_sampled_ports(count):
+    # The draw hides two frames down; it is flagged where it happens.
+    return [_pick_port() for _ in range(count)]
+
+
+def _pick_port():
+    return _draw_port()
+
+
+def _draw_port():
+    return random.randrange(64)  # expect[DET001]
+
+
 def bad_unseeded_instance():
     return random.Random()  # expect[DET001]
 

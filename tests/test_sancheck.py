@@ -16,7 +16,6 @@ import pytest
 
 from repro.analysis.static import (
     SAN_RULES,
-    SanConfig,
     analyze_models,
     build_models,
     run_sancheck,
@@ -206,17 +205,10 @@ class TestConfig:
         target.write_text("import random\n\ndef f():\n    return random.random()\n")
         models = build_models(target, rel_base=tmp_path)
         findings, rules_run = analyze_models(
-            models, SanConfig(disable=frozenset({"DET001"}))
+            models, disable=frozenset({"DET001"})
         )
         assert "DET001" not in rules_run
         assert not findings
-
-    def test_rule_subset(self, tmp_path):
-        target = tmp_path / "mod.py"
-        target.write_text("import random\n\ndef f():\n    return random.random()\n")
-        models = build_models(target, rel_base=tmp_path)
-        _, rules_run = analyze_models(models, SanConfig(rules=("DET001",)))
-        assert rules_run == ["DET001"]
 
 
 class TestRegistry:
@@ -277,6 +269,88 @@ class TestCli:
         assert main(["sancheck", "--no-baseline"]) == 1
         out = capsys.readouterr().out
         assert "RACE001" in out
+
+    @pytest.mark.parametrize(
+        ("argv", "registered"),
+        [
+            (["sancheck", "--disable", "DET05"], "DET005"),
+            (["lint", "--topology", "ring", "--disable", "SS01"], "SS001"),
+            (["check", "--topology", "ring", "--disable", "MC04"], "MC004"),
+        ],
+        ids=["sancheck", "lint", "check"],
+    )
+    def test_unknown_disable_id_is_rejected(self, argv, registered):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        # A string code makes the interpreter print it and exit 1.
+        message = exc.value.code
+        assert isinstance(message, str)
+        assert f"unknown rule id(s) {argv[-1]};" in message
+        assert repr(registered) in message
+
+    def test_format_github_emits_annotations(self, capsys):
+        from repro.cli import main
+
+        # A corpus RACE001 true positive surfaces as a workflow annotation.
+        fixture = str(FIXTURES / "race_state.py")
+        assert main([
+            "sancheck", "--root", fixture, "--no-baseline", "--format", "github",
+        ]) == 1
+        out = capsys.readouterr().out
+        assert "::error file=" in out and "title=RACE001" in out
+
+    def test_root_is_repeatable(self, tmp_path, capsys):
+        from repro.cli import main
+
+        (tmp_path / "a.py").write_text("def api_a():\n    return 1\n")
+        (tmp_path / "b.py").write_text("def api_b():\n    return 2\n")
+        assert main([
+            "sancheck", "--root", str(tmp_path / "a.py"),
+            "--root", str(tmp_path / "b.py"), "--no-baseline",
+        ]) == 0
+        assert "across 2 file(s)" in capsys.readouterr().out
+
+    def test_sancheck_fail_on_stale(self, tmp_path, capsys):
+        from repro.cli import main
+
+        target = tmp_path / "mod.py"
+        target.write_text(
+            "import random\n\ndef f():\n    return random.random()\n"
+        )
+        baseline = tmp_path / "sancheck-baseline.json"
+        assert main([
+            "sancheck", "--root", str(target),
+            "--baseline", str(baseline), "--write-baseline",
+        ]) == 0
+        target.write_text("def f():\n    return 4\n")
+        capsys.readouterr()
+        assert main([
+            "sancheck", "--root", str(target), "--baseline", str(baseline),
+        ]) == 0
+        assert main([
+            "sancheck", "--root", str(target), "--baseline", str(baseline),
+            "--fail-on-stale",
+        ]) == 1
+
+    def test_prune_baseline_ratchet(self, tmp_path, capsys):
+        from repro.cli import main
+
+        target = tmp_path / "mod.py"
+        target.write_text("STATE = {}\n\ndef api():\n    STATE['k'] = 1\n")
+        baseline = tmp_path / "sancheck-baseline.json"
+        assert main([
+            "sancheck", "--root", str(target), "--baseline", str(baseline),
+            "--write-baseline",
+        ]) == 0
+        # Fix the site, then prune: the baseline empties.
+        target.write_text("STATE = {}\n\ndef api():\n    return STATE\n")
+        assert main([
+            "sancheck", "--root", str(target), "--baseline", str(baseline),
+            "--prune-baseline",
+        ]) == 0
+        assert json.loads(baseline.read_text())["findings"] == []
 
     def test_write_baseline_roundtrip(self, tmp_path, capsys):
         from repro.cli import main
