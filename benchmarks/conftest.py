@@ -27,13 +27,6 @@ def pytest_addoption(parser):
         "speedups measured in this run (use after an intentional change).",
     )
     parser.addoption(
-        "--update-sancheck-baseline",
-        action="store_true",
-        default=False,
-        help="Rewrite benchmarks/baselines/sancheck_baseline.json with the "
-        "throughput measured in this run (use after an intentional change).",
-    )
-    parser.addoption(
         "--update-robustness-baseline",
         action="store_true",
         default=False,

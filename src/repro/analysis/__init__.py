@@ -1,9 +1,9 @@
 """Analysis tools: graph algorithms, Table 2 closed forms, symbolic
 header-space analysis, lint rules, rule-set verification, stateful
-model checking with replayable counterexamples, and the determinism &
-shared-state sanitizer over the repro source itself
-(:mod:`repro.analysis.static`, kept out of this namespace so importing
-the analysis layer does not drag in the scenario runner)."""
+model checking with replayable counterexamples, and the hash-seed
+double-run determinism gate (:mod:`repro.analysis.doublerun`, kept out
+of this namespace so importing the analysis layer does not drag in the
+scenario runner and the chaos harness)."""
 
 from repro.analysis.complexity import (
     dfs_message_count,

@@ -142,7 +142,8 @@ def lint_rule(
     def register(func):
         if rule_id in LINT_RULES:
             raise ValueError(f"duplicate lint rule id {rule_id!r}")
-        # repro: allow[RACE001] import-time rule registration, frozen before use
+        # Import-time registration, frozen before use (an allowed RACE001
+        # site in tests/test_source_hazards.py).
         LINT_RULES[rule_id] = LintRule(
             rule_id=rule_id,
             name=name,

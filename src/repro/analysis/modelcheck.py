@@ -961,7 +961,8 @@ def invariant(invariant_id: str, name: str, scope: str):
     def register(func: Callable) -> Callable:
         if invariant_id in INVARIANTS:
             raise ValueError(f"duplicate invariant id {invariant_id}")
-        # repro: allow[RACE001] import-time invariant registration, frozen before use
+        # Import-time registration, frozen before use (an allowed RACE001
+        # site in tests/test_source_hazards.py).
         INVARIANTS[invariant_id] = Invariant(
             invariant_id, name, scope, (func.__doc__ or "").strip(), func
         )

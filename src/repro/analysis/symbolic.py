@@ -123,7 +123,8 @@ class FieldWidths:
         """(in_port test or None, finitized non-in_port (name, value, mask)
         triples) for *match* — memoized, since the propagation loop
         intersects the same entry matches against thousands of cubes."""
-        # repro: allow[DET006] in-process memo key; `is` check guards id reuse
+        # An in-process memo key; the `is` check guards id reuse (an allowed
+        # DET006 site in tests/test_source_hazards.py).
         cached = self._parts_cache.get(id(match))
         if cached is not None and cached[0] is match:
             return cached[1], cached[2]
@@ -139,7 +140,7 @@ class FieldWidths:
             if mask is None:
                 mask = full_mask(self.width(test.name), test.value)
             parts.append((test.name, test.value, mask))
-        # repro: allow[DET006] same memo key as the lookup above
+        # Same memo key as the lookup above.
         self._parts_cache[id(match)] = (match, in_port_test, parts)
         return in_port_test, parts
 

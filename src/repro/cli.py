@@ -301,76 +301,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return report.exit_code
 
 
-def cmd_sancheck(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
-    from repro.analysis.static import (
-        BASELINE_NAME,
-        SAN_RULES,
-        prune_baseline,
-        run_sancheck,
-        write_baseline,
-    )
-
-    report = run_sancheck(
-        roots=[Path(r) for r in (args.root or [])] or None,
-        baseline_path=Path(args.baseline) if args.baseline else None,
-        disable=_disabled_ids(args, SAN_RULES),
-        use_baseline=not args.no_baseline,
-    )
-    if args.write_baseline:
-        target = Path(args.baseline or report.baseline_path or BASELINE_NAME)
-        unsuppressed = [f for f in report.findings if not f.suppressed]
-        write_baseline(target, unsuppressed)
-        print(f"wrote {len(unsuppressed)} finding(s) to {target}")
-        return 0
-    if args.prune_baseline:
-        if report.baseline_path is None:
-            print("no baseline file found to prune")
-            return 1
-        kept, dropped = prune_baseline(
-            Path(report.baseline_path),
-            [f for f in report.findings if not f.suppressed],
-        )
-        print(
-            f"pruned {dropped} stale entr{'y' if dropped == 1 else 'ies'}; "
-            f"{kept} kept in {report.baseline_path}"
-        )
-        return 0
-
-    exit_code = report.exit_code
-    if args.fail_on_stale and report.stale_baseline:
-        exit_code = 1
-    payload = report.to_json()
-    if args.double_run:
-        from repro.analysis.static import double_run
-
-        gate = double_run()
-        payload["double_run"] = gate.to_dict()
-        if not gate.ok:
-            exit_code = 1
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    elif args.format == "github":
-        annotations = report.format_github()
-        if annotations:
-            print(annotations)
-        print(report.summary())
-    else:
-        print(report.format_text(show_silenced=args.show_silenced))
-    if args.double_run and not args.json:
-        print_gate = payload["double_run"]
-        print(f"double-run gate: {'OK' if print_gate['ok'] else 'FAILED'} "
-              f"({len(print_gate['scenarios'])} scenario(s), "
-              f"hash seeds {print_gate['hash_seeds']})")
-        for mismatch in print_gate["mismatches"]:
-            print(f"  MISMATCH {mismatch}")
-        for error in print_gate["errors"]:
-            print(f"  error: {error}")
-    return exit_code
-
-
 def _build_check_service(args: argparse.Namespace, topo: Topology):
     """Like :func:`_build_service`, but give the delivery services a
     non-vacuous default configuration: checking an anycast with no members
@@ -615,61 +545,6 @@ def make_parser() -> argparse.ArgumentParser:
         help="comma-separated roots to walk from (default: every node)",
     )
     p.set_defaults(fn=cmd_lint)
-
-    p = sub.add_parser(
-        "sancheck",
-        help="determinism & shared-state sanitizer over the repro source",
-    )
-    p.add_argument("--json", action="store_true",
-                   help="emit the full report as JSON")
-    p.add_argument(
-        "--format", choices=("text", "github"), default="text",
-        help="output format: plain text or GitHub workflow "
-        "annotations (::error file=…)",
-    )
-    p.add_argument(
-        "--root", action="append", metavar="PATH",
-        help="directory or file to scan (repeatable; default: the "
-        "repro package). Findings are keyed relative to each "
-        "root's parent, so baselines stay stable.",
-    )
-    p.add_argument(
-        "--baseline", default=None,
-        help="baseline file (default: nearest sancheck-baseline.json "
-        "above the first scan root)",
-    )
-    p.add_argument(
-        "--no-baseline", action="store_true", dest="no_baseline",
-        help="ignore any baseline: report every finding as new",
-    )
-    p.add_argument(
-        "--write-baseline", action="store_true", dest="write_baseline",
-        help="write current unsuppressed findings as the new baseline",
-    )
-    p.add_argument(
-        "--prune-baseline", action="store_true", dest="prune_baseline",
-        help="drop baseline entries no current finding matches "
-        "(the ratchet: fixed sites stay fixed)",
-    )
-    p.add_argument(
-        "--fail-on-stale", action="store_true", dest="fail_on_stale",
-        help="exit 1 when the baseline has stale entries (CI keeps "
-        "the baseline shrinking)",
-    )
-    p.add_argument(
-        "--show-silenced", action="store_true", dest="show_silenced",
-        help="also list suppressed and baselined findings",
-    )
-    p.add_argument(
-        "--disable", action="append", metavar="RULE",
-        help="disable a sanitizer rule id, e.g. DET005 (repeatable)",
-    )
-    p.add_argument(
-        "--double-run", action="store_true", dest="double_run",
-        help="also run the PYTHONHASHSEED double-run gate over the "
-        "golden scenario matrix (two subprocesses)",
-    )
-    p.set_defaults(fn=cmd_sancheck)
 
     p = sub.add_parser(
         "check",

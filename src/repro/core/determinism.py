@@ -6,33 +6,27 @@ bit-for-bit deterministic: a rerun with the same seed must produce the
 same bytes, in a fresh process or beside other engines in this one.  So
 randomness and time are centralized here:
 
-* **Randomness** comes only from :func:`seeded_rng` (a fresh
+* **Randomness** comes only from :func:`seeded_rng`: a fresh
   ``random.Random`` with an explicit seed — never the process-global RNG,
-  never OS entropy) or from :func:`derive_rng`, which derives stable
-  sub-seeds from a master seed and string labels.  Sub-seed derivation uses
-  SHA-256, *not* the builtin ``hash()``, so it is identical across
-  processes and ``PYTHONHASHSEED`` values, which is what lets a report
-  written by one process be byte-compared against a rerun in another.
+  never OS entropy.
 * **Time** is the simulator's virtual clock (``network.sim.now``) or the
   packet-step logical clock (``network.packet_steps``); wall-clock reads
   are confined to :func:`wall_clock`, which exists for benchmark harnesses
   and must never feed a trace, result payload, or seed.
 
-The static analyzer (:mod:`repro.analysis.static`) enforces this split:
-``DET001``/``DET003`` flag direct RNG and clock access everywhere *except*
-this module, which is the allowlisted provider.
+Two guards hold this split (DESIGN.md §9): ruff's ``S311`` (pseudo-random
+generators) and ``DTZ`` (naive datetimes) flag direct use statically, and
+the double-run gate (:mod:`repro.analysis.doublerun`) catches any draw or
+clock read that reaches a golden trace or chaos report.
 """
 
 from __future__ import annotations
 
-import hashlib
 import random
 
 #: The RNG type handed out by this module (an alias so call sites can
 #: annotate without importing :mod:`random` themselves).
 Rng = random.Random
-
-_SEED_MASK = (1 << 63) - 1
 
 
 def seeded_rng(seed: int) -> Rng:
@@ -50,33 +44,17 @@ def seeded_rng(seed: int) -> Rng:
     return random.Random(seed)
 
 
-def derive_seed(master: int, *labels: object) -> int:
-    """A stable sub-seed from *master* and any hashable-as-text labels.
-
-    The derivation is ``SHA-256(master ':' label ':' label ...)`` truncated
-    to 63 bits: independent labels give independent streams, and the result
-    is identical in every process regardless of ``PYTHONHASHSEED`` —
-    builtin ``hash()`` would not be.
-    """
-    digest = hashlib.sha256(
-        ":".join([str(int(master)), *(str(label) for label in labels)]).encode()
-    ).digest()
-    return int.from_bytes(digest[:8], "big") & _SEED_MASK
-
-
-def derive_rng(master: int, *labels: object) -> Rng:
-    """A fresh RNG on the sub-seed :func:`derive_seed` gives for *labels*."""
-    return seeded_rng(derive_seed(master, *labels))
-
-
 class PacketIdAllocator:
     """Sequential id allocation behind an owned object, not a module global.
 
     Packet ids are bookkeeping, never matched on — but they appear in
     traces, so byte-identical replay needs a resettable, deterministic
     source.  Owning the cursor as instance state (instead of rebinding a
-    module-level ``itertools.count``) keeps the mutation inside one object,
-    so two engines in one process cannot perturb each other's ids.
+    module-level ``itertools.count``) keeps the mutation inside one object.
+    The process shares one instance (:data:`_PACKET_IDS`), so ids are
+    global allocation order: two engines in one process draw from the same
+    sequence, and a run that must replay byte-identically calls
+    :func:`reset_packet_ids` first.
     """
 
     def __init__(self, start: int = 1) -> None:
@@ -117,8 +95,7 @@ def wall_clock() -> float:
 
     Benchmark harnesses may time real work with this; simulation code,
     services, and anything whose output is traced, asserted, or serialized
-    must use the virtual clock instead.  Keeping the only wall-clock read
-    in this module is what lets ``DET003`` flag every other one.
+    must use the virtual clock instead.
     """
     import time
 

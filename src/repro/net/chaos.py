@@ -1086,14 +1086,3 @@ def replay_run(report: dict, run_id: int) -> tuple[RunRecord, list[str]]:
         if was != now:
             mismatches.append(f"{key}: recorded {was} != replayed {now}")
     return fresh, mismatches
-
-
-def ledger_violations(report: CampaignReport) -> list[str]:  # pragma: no cover
-    """Convenience for tests: re-run the campaign's supervised calls is not
-    possible post hoc, so this only validates the records' invariant that no
-    outcome class is missing."""
-    problems = []
-    for record in report.records:
-        if record.outcome not in (RECOVERED, DEGRADED_CORRECT, WRONG_RESULT, HUNG):
-            problems.append(f"run {record.run_id}: bad outcome {record.outcome}")
-    return problems

@@ -16,7 +16,7 @@ Three consumers share this module:
 * the golden-trace corpus (``tests/test_golden_traces.py``) pins the
   fast-path observables of :data:`GOLDEN_SCENARIOS` against history;
 * the double-run determinism gate
-  (:mod:`repro.analysis.static.doublerun`) hashes the same observables in
+  (:mod:`repro.analysis.doublerun`) hashes the same observables in
   two subprocesses under different ``PYTHONHASHSEED`` values and demands
   identical digests.
 

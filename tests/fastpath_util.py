@@ -2,7 +2,7 @@
 
 The fast-path differential and golden-trace suites predate
 :mod:`repro.net.scenario`; the runner moved into the package so the
-double-run determinism gate (:mod:`repro.analysis.static.doublerun`) can
+double-run determinism gate (:mod:`repro.analysis.doublerun`) can
 execute the same scenarios in clean subprocesses.  This module re-exports
 the public names so older imports keep working.
 """

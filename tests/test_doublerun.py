@@ -1,12 +1,14 @@
 """The PYTHONHASHSEED double-run determinism gate."""
 
-import json
 import subprocess
 import sys
 
-from repro.analysis.static.doublerun import (
+import pytest
+
+from repro.analysis.doublerun import (
     DEFAULT_HASH_SEEDS,
     DoubleRunReport,
+    chaos_digests,
     double_run,
     scenario_digests,
     _child_env,
@@ -14,12 +16,33 @@ from repro.analysis.static.doublerun import (
 from repro.net.scenario import GOLDEN_SCENARIOS
 
 # One cheap scenario keeps the subprocess tests fast; the full matrix
-# runs in CI via `smartsouth sancheck --double-run`.
+# runs in CI via `python -m repro.analysis.doublerun`.
 SMALL = (GOLDEN_SCENARIOS[0],)
+
+CHAOS_KEYS = {"chaos-default", "chaos-control", "chaos-switch"}
+
+
+@pytest.fixture(scope="module")
+def in_process():
+    """The digest map a child emits, computed in this process."""
+    return {**scenario_digests(SMALL), **chaos_digests()}
+
+
+@pytest.fixture(scope="module")
+def report():
+    """One gate run over SMALL plus the chaos planes (two children)."""
+    return double_run(scenarios=SMALL)
 
 
 def test_digests_are_stable_in_process():
     assert scenario_digests(SMALL) == scenario_digests(SMALL)
+
+
+def test_chaos_digests_cover_every_plane_and_are_stable_in_process(in_process):
+    digests = chaos_digests()
+    assert set(digests) == CHAOS_KEYS
+    assert all(len(digest) == 64 for digest in digests.values())
+    assert digests.items() <= in_process.items()
 
 
 def test_digest_covers_every_scenario():
@@ -29,12 +52,11 @@ def test_digest_covers_every_scenario():
         assert len(digest) == 64  # SHA-256 hex
 
 
-def test_double_run_passes_across_hash_seeds():
-    report = double_run(scenarios=SMALL)
+def test_double_run_passes_across_hash_seeds(report):
     assert report.ok, report.format_text()
     assert report.hash_seeds == DEFAULT_HASH_SEEDS
     first, second = (report.digests[s] for s in DEFAULT_HASH_SEEDS)
-    assert first == second and len(first) == len(SMALL)
+    assert first == second
 
 
 def test_child_env_pins_hash_seed_and_path():
@@ -46,16 +68,23 @@ def test_child_env_pins_hash_seed_and_path():
     ).stdout
 
 
-def test_child_emit_mode_prints_digest_map():
-    spec = json.dumps([list(s) for s in SMALL], sort_keys=True)
+def test_module_entry_point_imports_cleanly():
+    # `-m` on a module its package already imported prints a "found in
+    # sys.modules" RuntimeWarning; CI runs the gate with it as an error.
     proc = subprocess.run(
-        [sys.executable, "-m", "repro.analysis.static.doublerun",
-         "--emit", "--scenarios", spec],
-        env=_child_env(0), capture_output=True, text=True, timeout=300,
+        [sys.executable, "-W", "error::RuntimeWarning",
+         "-m", "repro.analysis.doublerun", "--help"],
+        env=_child_env(0), capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    payload = json.loads(proc.stdout)
-    assert set(payload) == set(scenario_digests(SMALL))
+
+
+def test_child_emit_mode_prints_digest_map(report, in_process):
+    # Each child's parsed `--emit` output: the golden scenarios plus the
+    # three chaos planes, byte-for-byte the digests of this process.
+    assert set(in_process) == set(scenario_digests(SMALL)) | CHAOS_KEYS
+    for seed in DEFAULT_HASH_SEEDS:
+        assert report.digests[seed] == in_process
 
 
 def test_report_flags_mismatch():

@@ -189,3 +189,20 @@ class TestCli:
             ["snapshot", "--topology", "ring", "--nodes", "5", "--mode", "interpreted"]
         ) == 0
         assert "interpreted engine" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        ("argv", "registered"),
+        [
+            (["lint", "--topology", "ring", "--disable", "SS01"], "SS001"),
+            (["check", "--topology", "ring", "--disable", "MC04"], "MC004"),
+        ],
+        ids=["lint", "check"],
+    )
+    def test_unknown_disable_id_is_rejected(self, argv, registered):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        # A string code makes the interpreter print it and exit 1.
+        message = exc.value.code
+        assert isinstance(message, str)
+        assert f"unknown rule id(s) {argv[-1]};" in message
+        assert repr(registered) in message
