@@ -75,6 +75,11 @@ re-adoption.  Both are environment losses; MC011 asserts the crash can
 only ever under-claim (a lost traversal, a partial snapshot), never
 fabricate a result.
 
+Both kinds of crash are one mechanism: a scenario's environment events
+(:attr:`Scenario.events`) fire in order, each once the previous one has,
+and a state records only how many have fired; the gate epoch and the
+victim's down or bare state are derived from that count.
+
 On violation the checker emits a **counterexample**: the shortest (BFS)
 action trace reaching the violation, greedily minimized by deleting failure
 / extra-trigger actions that are not needed to reproduce it.  Traces are
@@ -170,12 +175,10 @@ class TriggerSpec:
     #: Only injectable once no packet is in flight (phase ordering — e.g.
     #: the blackhole verify trigger must not overtake the probe phase).
     at_quiescence: bool = False
-    #: Only injectable once the controller crash has happened (the
-    #: restarted controller's retry under the resynced epoch).
-    after_crash: bool = False
-    #: Only injectable once the victim switch has crashed *and* rebooted
-    #: (the supervisor's retry against a network holding one bare switch).
-    after_reboot: bool = False
+    #: Only injectable once every environment event of the scenario has
+    #: fired (the retry after a controller crash, or against a network
+    #: holding one rebooted-bare switch).
+    after_env: bool = False
     label: str = "trigger"
 
     def field_dict(self) -> dict[str, int]:
@@ -212,6 +215,18 @@ class Scenario:
     #: miss-dropping traffic until re-adoption.  ``None`` disables it.
     sw_crash: int | None = None
 
+    @property
+    def events(self) -> tuple[tuple, ...]:
+        """The environment events, in the order they must fire: each is
+        enabled once the previous one has fired, the first once a trigger
+        is in flight."""
+        events: tuple[tuple, ...] = ()
+        if self.crash is not None:
+            events += (("crash",),)
+        if self.sw_crash is not None:
+            events += (("sw-crash", self.sw_crash), ("sw-reboot", self.sw_crash))
+        return events
+
     def to_dict(self) -> dict:
         return {
             "name": self.name,
@@ -222,8 +237,7 @@ class Scenario:
                     "root": t.root,
                     "fields": dict(t.fields),
                     "at_quiescence": t.at_quiescence,
-                    "after_crash": t.after_crash,
-                    "after_reboot": t.after_reboot,
+                    "after_env": t.after_env,
                     "label": t.label,
                 }
                 for t in self.triggers
@@ -249,6 +263,19 @@ def _blackhole_placements(
     return placements
 
 
+def _retried_triggers(
+    root: int, epochs: tuple[int, int], labels: tuple[str, str]
+) -> tuple[TriggerSpec, TriggerSpec]:
+    """A trigger in flight under the first epoch, and its retry under the
+    second once every environment event of the scenario has fired."""
+    return (
+        TriggerSpec(root, ((FIELD_EPOCH, epochs[0]),), label=labels[0]),
+        TriggerSpec(
+            root, ((FIELD_EPOCH, epochs[1]),), after_env=True, label=labels[1]
+        ),
+    )
+
+
 #: The crash scenario's epoch pair: the first supervised attempt runs under
 #: epoch 1; the restarted controller resyncs past every in-flight epoch
 #: (margin 2, mirroring ``EpochClock.resync``) and retries under epoch 3.
@@ -265,21 +292,12 @@ def _crash_scenario(name: str, root: int) -> Scenario:
     squashes the stale straggler at the origin, and MC010 asserts no
     pre-crash epoch is accepted after the crash.
     """
-    pre, post = CRASH_EPOCHS
     return Scenario(
         f"{name}:crash",
         name,
         root,
-        (
-            TriggerSpec(root, ((FIELD_EPOCH, pre),), label="pre-crash"),
-            TriggerSpec(
-                root,
-                ((FIELD_EPOCH, post),),
-                after_crash=True,
-                label="post-crash-retry",
-            ),
-        ),
-        crash=(pre, post),
+        _retried_triggers(root, CRASH_EPOCHS, ("pre-crash", "post-crash-retry")),
+        crash=CRASH_EPOCHS,
     )
 
 
@@ -304,21 +322,15 @@ def _switch_crash_scenarios(
     with the link-failure budget explodes the state space without adding
     to the MC011 claim.
     """
-    pre, post = SW_CRASH_EPOCHS
+    triggers = _retried_triggers(
+        root, SW_CRASH_EPOCHS, ("pre-sw-crash", "post-reboot-retry")
+    )
     return [
         Scenario(
             f"{name}:sw-crash:{victim}",
             name,
             root,
-            (
-                TriggerSpec(root, ((FIELD_EPOCH, pre),), label="pre-sw-crash"),
-                TriggerSpec(
-                    root,
-                    ((FIELD_EPOCH, post),),
-                    after_reboot=True,
-                    label="post-reboot-retry",
-                ),
-            ),
+            triggers,
             allow_failures=False,
             sw_crash=victim,
         )
@@ -762,13 +774,8 @@ class GlobalState:
         "reports",
         "deliveries",
         "losses",
-        "gate_epoch",
-        "crash_left",
-        "crash_mark",
-        "down",
-        "rebooted",
-        "sw_crash_left",
-        "sw_mark",
+        "env_fired",
+        "env_mark",
         "_key",
     )
 
@@ -784,13 +791,8 @@ class GlobalState:
         reports: tuple,
         deliveries: tuple,
         losses: tuple,
-        gate_epoch: int = 0,
-        crash_left: int = 0,
-        crash_mark: tuple[int, int] | None = None,
-        down: frozenset[int] = frozenset(),
-        rebooted: frozenset[int] = frozenset(),
-        sw_crash_left: int = 0,
-        sw_mark: tuple[int, int] | None = None,
+        env_fired: int = 0,
+        env_mark: tuple[int, int] | None = None,
     ) -> None:
         self.packets = packets
         self.live = live
@@ -802,20 +804,12 @@ class GlobalState:
         self.reports = reports
         self.deliveries = deliveries
         self.losses = losses
-        # Crash-scenario state: the origin gate's admitted epoch (0 = no
-        # gate), whether the crash transition is still available, and the
-        # (reports, deliveries) lengths at crash time (for MC010).
-        self.gate_epoch = gate_epoch
-        self.crash_left = crash_left
-        self.crash_mark = crash_mark
-        # Switch-crash scenario state: nodes currently down, nodes back up
-        # but still bare (not re-adopted), whether the sw-crash transition
-        # is still available, and the (reports, deliveries) lengths at
-        # sw-crash time (for MC011).
-        self.down = down
-        self.rebooted = rebooted
-        self.sw_crash_left = sw_crash_left
-        self.sw_mark = sw_mark
+        # Environment state: how many of the scenario's events have fired
+        # (the origin gate's epoch and the victim switch's down/bare state
+        # derive from it), and the (reports, deliveries) lengths when the
+        # first one fired (for MC010/MC011).
+        self.env_fired = env_fired
+        self.env_mark = env_mark
         self._key: tuple | None = None
 
     def key(self) -> tuple:
@@ -831,13 +825,8 @@ class GlobalState:
                 self.reports,
                 self.deliveries,
                 self.losses,
-                self.gate_epoch,
-                self.crash_left,
-                self.crash_mark,
-                self.down,
-                self.rebooted,
-                self.sw_crash_left,
-                self.sw_mark,
+                self.env_fired,
+                self.env_mark,
             )
         return self._key
 
@@ -845,7 +834,7 @@ class GlobalState:
         """A copy with *changes* applied (every other field carried over).
 
         The transition functions build successors through this so a new
-        piece of scenario state (e.g. the switch-crash fields) cannot be
+        piece of scenario state (e.g. the environment fields) cannot be
         silently dropped by a constructor call that predates it.
         """
         kwargs = {
@@ -859,13 +848,8 @@ class GlobalState:
             "reports": self.reports,
             "deliveries": self.deliveries,
             "losses": self.losses,
-            "gate_epoch": self.gate_epoch,
-            "crash_left": self.crash_left,
-            "crash_mark": self.crash_mark,
-            "down": self.down,
-            "rebooted": self.rebooted,
-            "sw_crash_left": self.sw_crash_left,
-            "sw_mark": self.sw_mark,
+            "env_fired": self.env_fired,
+            "env_mark": self.env_mark,
         }
         kwargs.update(changes)
         return GlobalState(**kwargs)
@@ -1445,11 +1429,11 @@ def _check_crash_acceptance(ctx: ModelContext, state: GlobalState):
     actually happened in this interleaving.
     """
     crash = ctx.scenario.crash
-    if crash is None or state.crash_mark is None:
+    if crash is None or state.env_mark is None:
         return
     inv = INVARIANTS["MC010"]
     _pre, post = crash
-    for node, fields, _stack in state.reports[state.crash_mark[0]:]:
+    for node, fields, _stack in state.reports[state.env_mark[0]:]:
         epoch = dict(fields).get(FIELD_EPOCH, 0)
         if epoch and epoch != post:
             yield inv.violation(
@@ -1485,10 +1469,10 @@ def _check_switch_crash(ctx: ModelContext, state: GlobalState):
     happened in this interleaving.
     """
     victim = ctx.scenario.sw_crash
-    if victim is None or state.sw_mark is None:
+    if victim is None or state.env_mark is None:
         return
     inv = INVARIANTS["MC011"]
-    report_mark, delivery_mark = state.sw_mark
+    report_mark, delivery_mark = state.env_mark
     for node, _fields, _stack in state.reports[report_mark:]:
         if node == victim:
             yield inv.violation(
@@ -1642,6 +1626,7 @@ class Explorer:
         self._trigger_cubes = [
             self._build_trigger_cube(spec) for spec in scenario.triggers
         ]
+        self._events = scenario.events
 
     # -- state construction ---------------------------------------------- #
 
@@ -1668,7 +1653,6 @@ class Explorer:
         budget = (
             self.config.max_failures if self.scenario.allow_failures else 0
         )
-        crash = self.scenario.crash
         return GlobalState(
             packets=(),
             live=self.ctx.all_edges,
@@ -1680,10 +1664,6 @@ class Explorer:
             reports=(),
             deliveries=(),
             losses=(),
-            gate_epoch=crash[0] if crash else 0,
-            crash_left=1 if crash else 0,
-            crash_mark=None,
-            sw_crash_left=1 if self.scenario.sw_crash is not None else 0,
         )
 
     def is_terminal(self, state: GlobalState) -> bool:
@@ -1693,29 +1673,19 @@ class Explorer:
 
     # -- transitions ------------------------------------------------------ #
 
+    def _env_pending(self, state: GlobalState) -> bool:
+        return state.env_fired < len(self._events)
+
     def transitions(self, state: GlobalState) -> list[tuple]:
         actions: list[tuple] = [("step", p.pid) for p in state.packets]
         if state.next_trigger < len(self.scenario.triggers):
             spec = self.scenario.triggers[state.next_trigger]
-            if (
-                (not spec.at_quiescence or not state.packets)
-                and (not spec.after_crash or state.crash_left == 0)
-                and (
-                    not spec.after_reboot
-                    or (state.sw_crash_left == 0 and not state.down)
-                )
+            if (not spec.at_quiescence or not state.packets) and (
+                not spec.after_env or not self._env_pending(state)
             ):
                 actions.append(("inject", state.next_trigger))
-        if state.crash_left > 0 and state.next_trigger > 0:
-            actions.append(("crash",))
-        if (
-            state.sw_crash_left > 0
-            and self.scenario.sw_crash is not None
-            and state.next_trigger > 0
-        ):
-            actions.append(("sw-crash", self.scenario.sw_crash))
-        for node in sorted(state.down):
-            actions.append(("sw-reboot", node))
+        if self._env_pending(state) and state.next_trigger > 0:
+            actions.append(self._events[state.env_fired])
         if (
             state.extra_left > 0
             and self.scenario.triggers
@@ -1747,9 +1717,7 @@ class Explorer:
             spec = self.scenario.triggers[index]
             if spec.at_quiescence and state.packets:
                 return None
-            if spec.after_crash and state.crash_left > 0:
-                return None
-            if spec.after_reboot and (state.sw_crash_left > 0 or state.down):
+            if spec.after_env and self._env_pending(state):
                 return None
             packet = PacketState(
                 state.next_pid,
@@ -1786,54 +1754,6 @@ class Explorer:
                 ),
                 None,
             )
-        if kind == "crash":
-            # The controller dies and restarts: its epoch clock resyncs past
-            # every epoch that may still be in flight and the retry installs
-            # the origin gate for the new epoch.  The data plane is
-            # untouched — in-flight packets keep flying (the paper's point).
-            if state.crash_left <= 0 or self.scenario.crash is None:
-                return None
-            return (
-                state.evolve(
-                    gate_epoch=self.scenario.crash[1],
-                    crash_left=0,
-                    crash_mark=(len(state.reports), len(state.deliveries)),
-                ),
-                None,
-            )
-        if kind == "sw-crash":
-            # The victim box dies: packets that arrive there are dropped on
-            # the floor (sw_down losses when stepped) until it reboots.
-            node = action[1]
-            if (
-                state.sw_crash_left <= 0
-                or self.scenario.sw_crash != node
-                or node in state.down
-            ):
-                return None
-            return (
-                state.evolve(
-                    down=state.down | {node},
-                    sw_crash_left=state.sw_crash_left - 1,
-                    sw_mark=state.sw_mark
-                    or (len(state.reports), len(state.deliveries)),
-                ),
-                None,
-            )
-        if kind == "sw-reboot":
-            # The victim comes back up *bare*: flow tables, groups and
-            # fast-path state are gone, so until re-adoption every packet
-            # arriving there miss-drops (sw_bare losses when stepped).
-            node = action[1]
-            if node not in state.down:
-                return None
-            return (
-                state.evolve(
-                    down=state.down - {node},
-                    rebooted=state.rebooted | {node},
-                ),
-                None,
-            )
         if kind == "fail":
             edge_id = action[1]
             if (
@@ -1855,18 +1775,44 @@ class Explorer:
             if packet is None:
                 return None
             return self._apply_step(state, packet)
+        if self._env_pending(state) and action == self._events[state.env_fired]:
+            # The scenario's next environment event: a controller crash
+            # (its restart jumps the origin gate's epoch; in-flight packets
+            # keep flying), a switch crash (arrivals there drop) or that
+            # switch's bare reboot (arrivals miss-drop until re-adoption).
+            # The effects are derived from env_fired in _environment_loss.
+            return (
+                state.evolve(
+                    env_fired=state.env_fired + 1,
+                    env_mark=state.env_mark
+                    or (len(state.reports), len(state.deliveries)),
+                ),
+                None,
+            )
         return None
 
     def _apply_step(
         self, state: GlobalState, packet: PacketState
     ) -> tuple[GlobalState, StepInfo]:
         node = packet.node
-        dropped = self._switch_drops(state, packet)
-        if dropped is not None:
-            return dropped
-        squashed = self._gate_squashes(state, packet)
-        if squashed is not None:
-            return squashed
+        kind = self._environment_loss(state, packet) if self._events else None
+        if kind is not None:
+            # The stepper is never consulted: a down or bare switch never
+            # runs its stale pipeline, and a squashed packet dies at the
+            # gate before table 0.
+            loss = (kind, node, packet.in_port, -1)
+            info = StepInfo(
+                pid=packet.pid,
+                node=node,
+                in_port=packet.in_port,
+                outcome=StepOutcome(),
+                new_packets=[],
+                losses_added=[loss + (None,)],
+            )
+            return state.evolve(
+                packets=tuple(p for p in state.packets if p.pid != packet.pid),
+                losses=state.losses + (loss,),
+            ), info
         stepper = self.steppers[node]
         live = state.live
 
@@ -1963,75 +1909,35 @@ class Explorer:
         )
         return new_state, info
 
-    def _gate_squashes(
+    def _environment_loss(
         self, state: GlobalState, packet: PacketState
-    ) -> tuple[GlobalState, StepInfo] | None:
-        """Origin epoch gate: kill a stale-epoch packet entering the root.
+    ) -> str | None:
+        """The environment loss that destroys *packet* at its node, if any.
 
-        Mirrors :class:`~repro.core.epoch.EpochGate` — after a crash/resync
-        the origin switch admits only tag 0 or the current epoch, so a
-        pre-crash straggler can neither report a duplicate result nor keep
-        traversing through the origin.  The squash is an environment loss
-        ("squashed"), not a program bug.
+        Derived from the events fired so far.  A switch whose last event
+        is ``sw-crash`` is dead: the frame falls on the floor
+        (``"sw_down"``).  One whose last event is ``sw-reboot`` is up but
+        bare — table 0 miss-drops everything (``"sw_bare"``, mirroring
+        :meth:`Switch.reboot <repro.openflow.switch.Switch.reboot>` before
+        re-adoption).  Otherwise, at the root of a controller-crash
+        scenario, the origin epoch gate
+        (:class:`~repro.core.epoch.EpochGate`) admits only tag 0 or its
+        current epoch — the pre-crash epoch, or the post-crash one once
+        ``crash`` has fired — so a stale straggler can neither report a
+        duplicate result nor keep traversing (``"squashed"``).  All three
+        are environment losses: under-claims, never program bugs.
         """
-        if not state.gate_epoch or packet.node != self.scenario.root:
+        fired = self._events[: state.env_fired]
+        for event in reversed(fired):
+            if event[0] != "crash" and event[1] == packet.node:
+                return "sw_down" if event[0] == "sw-crash" else "sw_bare"
+        crash = self.scenario.crash
+        if crash is None or packet.node != self.scenario.root:
             return None
         constraint = packet.cube.constraints.get(FIELD_EPOCH)
         epoch = constraint[0] if constraint else 0
-        if epoch in (0, state.gate_epoch):
-            return None
-        node = packet.node
-        loss = ("squashed", node, packet.in_port, -1)
-        new_state = state.evolve(
-            packets=tuple(p for p in state.packets if p.pid != packet.pid),
-            losses=state.losses + (loss,),
-        )
-        info = StepInfo(
-            pid=packet.pid,
-            node=node,
-            in_port=packet.in_port,
-            outcome=StepOutcome(),
-            new_packets=[],
-            losses_added=[loss + (None,)],
-        )
-        return new_state, info
-
-    def _switch_drops(
-        self, state: GlobalState, packet: PacketState
-    ) -> tuple[GlobalState, StepInfo] | None:
-        """A crashed or rebooted-bare switch destroys an arriving packet.
-
-        Down switch: the box is dead, the frame falls on the floor
-        ("sw_down").  Rebooted-but-bare switch: the box is up but its flow
-        tables are empty — table 0 miss-drops everything ("sw_bare",
-        mirroring :meth:`Switch.reboot <repro.openflow.switch.Switch.reboot>`
-        semantics before re-adoption).  Both are environment losses: a
-        switch crash may silently under-claim, never fabricate.  The
-        stepper — which still holds the pre-crash program — is never
-        consulted, exactly as the simulator's down/bare switch never runs
-        its stale pipeline.
-        """
-        node = packet.node
-        if node in state.down:
-            kind = "sw_down"
-        elif node in state.rebooted:
-            kind = "sw_bare"
-        else:
-            return None
-        loss = (kind, node, packet.in_port, -1)
-        new_state = state.evolve(
-            packets=tuple(p for p in state.packets if p.pid != packet.pid),
-            losses=state.losses + (loss,),
-        )
-        info = StepInfo(
-            pid=packet.pid,
-            node=node,
-            in_port=packet.in_port,
-            outcome=StepOutcome(),
-            new_packets=[],
-            losses_added=[loss + (None,)],
-        )
-        return new_state, info
+        gate = crash[1] if ("crash",) in fired else crash[0]
+        return None if not gate or epoch in (0, gate) else "squashed"
 
     # -- invariant evaluation --------------------------------------------- #
 
@@ -2082,25 +1988,13 @@ class Explorer:
                 if state.packets:
                     action = ("step", state.packets[0].pid)
                 elif (
-                    state.crash_left > 0
-                    and state.next_trigger < len(self.scenario.triggers)
-                    and self.scenario.triggers[state.next_trigger].after_crash
+                    self._env_pending(state)
+                    and self.scenario.triggers[state.next_trigger].after_env
                 ):
-                    # The pending trigger waits for the crash; fire it so
-                    # the closure can reach a terminal state.
-                    action = ("crash",)
-                elif (
-                    state.sw_crash_left > 0
-                    and state.next_trigger < len(self.scenario.triggers)
-                    and self.scenario.triggers[state.next_trigger].after_reboot
-                ):
-                    # Likewise for a pending post-reboot retry: crash the
-                    # victim, then (next iteration) reboot it.
-                    action = ("sw-crash", self.scenario.sw_crash)
-                elif state.down and state.next_trigger < len(
-                    self.scenario.triggers
-                ):
-                    action = ("sw-reboot", min(state.down))
+                    # The pending trigger waits for the environment; fire
+                    # its next event so the closure can reach a terminal
+                    # state.
+                    action = self._events[state.env_fired]
                 else:
                     action = ("inject", state.next_trigger)
                 applied = self.apply(state, action)

@@ -114,13 +114,15 @@ def replay_counterexample(
     check.
     """
     scenario = counterexample.scenario
-    if any(a[0] == "crash" for a in counterexample.trace):
-        # Controller-crash traces (MC010) drive the origin epoch gate,
-        # which the simulator replay does not model yet; refusing beats a
-        # silently-divergent replay.
+    event = next((a for a in counterexample.trace if a in scenario.events), None)
+    if event is not None:
+        # Environment-event traces (MC010's controller crash, MC011's switch
+        # crash and bare reboot) need the origin epoch gate or a crashed
+        # switch, which the simulator replay does not model yet; refusing
+        # beats a silently-divergent replay.
         raise ValueError(
-            "crash counterexamples are not replayable; inspect the trace "
-            "with Counterexample.format() instead"
+            f"{event[0]} counterexamples are not replayable; inspect the "
+            "trace with Counterexample.format() instead"
         )
     network = Network(topology)
     engine = make_engine(network, service, "compiled")

@@ -358,9 +358,9 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         CONTROL_PROFILES,
         SWITCH_PROFILES,
         ChaosConfig,
-        check_outage_liveness,
         replay_run,
         run_campaign,
+        run_control_campaign,
     )
 
     if args.replay is not None:
@@ -398,12 +398,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         config.validate()
     except ValueError as exc:
         raise SystemExit(str(exc))
-    report = run_campaign(config)
-    if args.control:
-        report.outage_liveness = {
-            topology: check_outage_liveness(config.seed, topology)
-            for topology in config.topologies
-        }
+    report = (run_control_campaign if args.control else run_campaign)(config)
     if args.json_out:
         with open(args.json_out, "w") as handle:
             handle.write(report.to_json() + "\n")

@@ -33,7 +33,7 @@ campaigns on top of this module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 from repro.core.engine import (
     TraversalResult,
@@ -192,48 +192,15 @@ def check_epoch_ledger(outcome: SupervisedOutcome) -> list[str]:
     return problems
 
 
-def _result_watcher(
-    engine: _BaseEngine, mark_reports: int, mark_deliveries: int, epoch: int,
-    accept_deliveries: bool,
-):
-    """Early-exit predicate: a current-epoch observable arrived."""
-
-    def done() -> bool:
-        for _node, pkt in engine.reports[mark_reports:]:
-            if pkt.get(FIELD_EPOCH) == epoch:
-                return True
-        if accept_deliveries:
-            for _node, pkt in engine.deliveries[mark_deliveries:]:
-                if pkt.get(FIELD_EPOCH) == epoch:
-                    return True
-        return False
-
-    return done
-
-
-def _verdict_watcher(engine: _BaseEngine, mark_reports: int, epoch: int):
-    """Early-exit predicate: a current-epoch blackhole verdict arrived."""
-
-    def done() -> bool:
-        for _node, pkt in engine.reports[mark_reports:]:
-            if (
-                pkt.get(FIELD_EPOCH) == epoch
-                and pkt.get(FIELD_BH) in (BH_FOUND, BH_DONE, BH_INCOMPLETE)
-            ):
-                return True
-        return False
-
-    return done
-
-
 class TraversalSupervisor:
-    """Supervises single-trigger traversal services on one network.
+    """Supervises traversal services on one network.
 
     One supervisor owns one engine (and its service instance, whose
-    ``epoch_gate`` it drives).  Multi-phase services (the smart-counter
-    blackhole detection, whose counters must start fresh each attempt) are
-    handled by :class:`SupervisedRuntime` on top of the same window/backoff
-    machinery.
+    ``epoch_gate`` it drives) and one epoch-attempt loop,
+    :meth:`run_epochs`.  Single-trigger services call it through
+    :meth:`supervise`; the two-phase smart-counter blackhole detection
+    (:meth:`SupervisedRuntime.detect_blackhole`) calls it with a fresh
+    engine per attempt, because its counters must start from zero.
     """
 
     def __init__(
@@ -334,6 +301,128 @@ class TraversalSupervisor:
     # The supervision loop                                               #
     # ------------------------------------------------------------------ #
 
+    def run_epochs(
+        self,
+        root: int,
+        phases: Sequence[dict[str, int]],
+        ready: Callable[[list, list], bool],
+        judge: Callable[[list], str],
+        from_controller: bool,
+        fresh_engine: bool = False,
+    ) -> SupervisedOutcome:
+        """The one epoch-attempt loop behind every supervised call.
+
+        Each attempt (:meth:`_attempt`) runs under a fresh epoch — on a new
+        engine with *fresh_engine* — and lands in the ledger; an
+        :data:`ACCEPTED` attempt ends the call with its result.  Any other
+        outcome backs off (exponential, seeded jitter) and retries until the
+        budget is spent, and the call degrades.
+        """
+        outcome = SupervisedOutcome(
+            service=self.service.name,
+            root=root,
+            ok=False,
+            degraded=False,
+            reason="retries-exhausted",
+        )
+        deadline = self._deadline()
+        for attempt_index in range(self.config.max_attempts):
+            if fresh_engine and attempt_index:
+                self.engine = make_engine(self.network, self.service, self.mode)
+            attempt, result = self._attempt(
+                root, phases, ready, judge, from_controller, deadline,
+                settle_first=attempt_index > 0,
+            )
+            outcome.attempts.append(attempt)
+            if result is not None:
+                outcome.ok = True
+                outcome.reason = "completed"
+                outcome.result = result
+                return outcome
+            if attempt_index < self.config.max_attempts - 1:
+                self._sleep(self._backoff(attempt_index))
+
+        outcome.degraded = True
+        if all(a.outcome == PACKET_OUT_LOST for a in outcome.attempts):
+            outcome.reason = "controller-disconnected"
+        outcome.attempts[-1].outcome = DEGRADED_REPORT
+        return outcome
+
+    def _attempt(
+        self,
+        root: int,
+        phases: Sequence[dict[str, int]],
+        ready: Callable[[list, list], bool],
+        judge: Callable[[list], str],
+        from_controller: bool,
+        deadline: float,
+        settle_first: bool,
+    ) -> tuple[EpochAttempt, TraversalResult | None]:
+        """One epoch: arm the origin gate, bind the engine and inject one
+        trigger per phase, tagged with the epoch.
+
+        A multi-phase call lets the network settle before every phase but
+        the first phase of the first attempt (*settle_first* is False on
+        the first attempt): stragglers of the previous attempt drain, dying
+        at the gate, before fresh state is read, and each phase finishes
+        before the next one starts.  After the last trigger the watchdog window
+        runs until ``ready(reports, deliveries)`` holds for this epoch's
+        observables (it is not asked before the engine records anything,
+        so it must be False on two empty lists), and ``judge(reports)``
+        names the ledger outcome.
+        Returns the ledger entry and, for an accepted attempt, its result.
+        """
+        epoch = self.clock.advance()
+        gate = EpochGate(origin=root, epoch=epoch)
+        self.service.epoch_gate = gate
+        self._bind()
+        engine = self.engine
+        mark_reports = len(engine.reports)
+        mark_deliveries = len(engine.deliveries)
+        recorded = mark_reports + mark_deliveries
+        attempt = EpochAttempt(
+            epoch=epoch, injected_at=self.network.sim.now, deadline=deadline
+        )
+
+        def fresh(items: list, mark: int) -> list:
+            return [(n, p) for n, p in items[mark:] if p.get(FIELD_EPOCH) == epoch]
+
+        def observed() -> tuple[list, list]:
+            return (
+                fresh(engine.reports, mark_reports),
+                fresh(engine.deliveries, mark_deliveries),
+            )
+
+        def done() -> bool:
+            # Polled every window slice: filter only once something arrived.
+            arrived = len(engine.reports) + len(engine.deliveries) > recorded
+            return arrived and ready(*observed())
+
+        packet = None
+        for index, fields in enumerate(phases):
+            if len(phases) > 1 and (settle_first or index):
+                self._run_window(deadline)
+            packet = self._inject(
+                root, {**fields, FIELD_EPOCH: epoch}, from_controller
+            )
+            if packet is None:
+                break
+            attempt.packet_ids += (packet.packet_id,)
+
+        if packet is None:
+            attempt.outcome = PACKET_OUT_LOST
+        elif self._run_window(deadline, done=done):
+            attempt.outcome = judge(observed()[0])
+        else:
+            attempt.outcome = EXPIRED
+        attempt.squashed = gate.squashed
+        if attempt.outcome != ACCEPTED:
+            return attempt, None
+        reports, deliveries = observed()
+        return attempt, TraversalResult(
+            root=root, packet=packet, reports=reports, deliveries=deliveries
+        )
+
     def supervise(
         self,
         root: int,
@@ -350,81 +439,14 @@ class TraversalSupervisor:
         (or :class:`SupervisedRuntime`) turns the ledger into a
         service-specific partial answer.
         """
-        outcome = SupervisedOutcome(
-            service=self.service.name,
-            root=root,
-            ok=False,
-            degraded=False,
-            reason="retries-exhausted",
+
+        def ready(reports: list, deliveries: list) -> bool:
+            return bool(reports) or (accept_deliveries and bool(deliveries))
+
+        return self.run_epochs(
+            root, (fields or {},), ready, lambda _reports: ACCEPTED,
+            from_controller,
         )
-        deadline = self._deadline()
-        lost_outs = 0
-
-        for attempt_index in range(self.config.max_attempts):
-            epoch = self.clock.advance()
-            gate = EpochGate(origin=root, epoch=epoch)
-            self.service.epoch_gate = gate
-            self._bind()
-
-            mark_reports = len(self.engine.reports)
-            mark_deliveries = len(self.engine.deliveries)
-            attempt = EpochAttempt(
-                epoch=epoch,
-                injected_at=self.network.sim.now,
-                deadline=deadline,
-            )
-            outcome.attempts.append(attempt)
-
-            trigger_fields = dict(fields or {})
-            trigger_fields[FIELD_EPOCH] = epoch
-            packet = self._inject(root, trigger_fields, from_controller)
-            if packet is None:
-                attempt.outcome = PACKET_OUT_LOST
-                lost_outs += 1
-                if attempt_index < self.config.max_attempts - 1:
-                    self._sleep(self._backoff(attempt_index))
-                continue
-            attempt.packet_ids = (packet.packet_id,)
-
-            fresh_result = _result_watcher(
-                self.engine, mark_reports, mark_deliveries, epoch,
-                accept_deliveries,
-            )
-            got = self._run_window(deadline, done=fresh_result)
-            attempt.squashed = gate.squashed
-
-            if got:
-                attempt.outcome = ACCEPTED
-                reports = [
-                    (node, pkt)
-                    for node, pkt in self.engine.reports[mark_reports:]
-                    if pkt.get(FIELD_EPOCH) == epoch
-                ]
-                deliveries = [
-                    (node, pkt)
-                    for node, pkt in self.engine.deliveries[mark_deliveries:]
-                    if pkt.get(FIELD_EPOCH) == epoch
-                ]
-                outcome.ok = True
-                outcome.reason = "completed"
-                outcome.result = TraversalResult(
-                    root=root,
-                    packet=packet,
-                    reports=reports,
-                    deliveries=deliveries,
-                )
-                return outcome
-
-            attempt.outcome = EXPIRED
-            if attempt_index < self.config.max_attempts - 1:
-                self._sleep(self._backoff(attempt_index))
-
-        outcome.degraded = True
-        if outcome.attempts:
-            outcome.attempts[-1].outcome = DEGRADED_REPORT
-        if lost_outs == len(outcome.attempts):
-            outcome.reason = "controller-disconnected"
-        return outcome
 
     # ------------------------------------------------------------------ #
     # Origin-side evidence                                               #
@@ -991,158 +1013,68 @@ class SupervisedRuntime:
         every crossing survived twice, so no drop-all blackhole is
         reachable.
         """
-        cfg = self.config
-        network = self.network
-        outcome = SupervisedOutcome(
-            service="blackhole", root=root, ok=False, degraded=False,
-            reason="retries-exhausted",
+        #: FOUND location -> epochs that reported it.
+        sightings: dict[tuple[int, int], int] = {}
+
+        def verdict_report(reports: list) -> tuple[int, Packet] | None:
+            # The *earliest* terminal report of the epoch decides the attempt
+            # (reports append in emission order).  Ordering matters under
+            # duplication: a trailing verify copy can fetch the count its
+            # halted twin left behind and emit a spurious FOUND — always
+            # *after* the twin's INCOMPLETE.
+            for node, pkt in reports:
+                if pkt.get(FIELD_BH) in (BH_FOUND, BH_DONE, BH_INCOMPLETE):
+                    return node, pkt
+            return None
+
+        def judge(reports: list) -> str:
+            node, pkt = verdict_report(reports)
+            if pkt.get(FIELD_BH) == BH_INCOMPLETE:
+                # In-band proof the probe died without a count-1 signature:
+                # no verdict is derivable this epoch (faster than the
+                # watchdog).
+                return PROBE_INCOMPLETE
+            if pkt.get(FIELD_BH) == BH_DONE:
+                return ACCEPTED
+            location = (node, pkt.get(FIELD_REPORT_PORT))
+            sightings[location] = sightings.get(location, 0) + 1
+            # Two epochs agree: the verdict is stable, accept.
+            return ACCEPTED if sightings[location] >= 2 else UNCONFIRMED
+
+        supervisor = TraversalSupervisor(
+            self.network, BlackholeService(), mode=self.mode,
+            config=self.config, channel=self.channel, clock=self.clock,
         )
-        lost_outs = 0
-        verdict: BlackholeVerdict | None = None
-        last_supervisor: TraversalSupervisor | None = None
-        #: FOUND location -> (sightings, representative verdict).
-        candidates: dict[tuple[int, int], tuple[int, BlackholeVerdict]] = {}
-
-        for attempt_index in range(cfg.max_attempts):
-            service = BlackholeService()
-            supervisor = TraversalSupervisor(
-                network, service, mode=self.mode, config=cfg,
-                channel=self.channel, clock=self.clock,
-            )
-            last_supervisor = supervisor
-            epoch = self.clock.advance()
-            gate = EpochGate(origin=root, epoch=epoch)
-            service.epoch_gate = gate
-            supervisor._bind()
-            deadline = supervisor._deadline()
-
-            engine = supervisor.engine
-            mark_reports = len(engine.reports)
-            attempt = EpochAttempt(
-                epoch=epoch, injected_at=network.sim.now, deadline=deadline
-            )
-            outcome.attempts.append(attempt)
-
-            # Drain stragglers of the previous attempt first: the verify
-            # test reads fresh counters and a stale roaming packet would
-            # pollute them (stale packets die at the origin gate).
-            if attempt_index:
-                supervisor._run_window(deadline)
-
-            probe = supervisor._inject(
-                root,
-                {FIELD_REPEAT: REPEAT_PROBE, FIELD_EPOCH: epoch},
-                not self.in_band,
-            )
-            if probe is None:
-                attempt.outcome = PACKET_OUT_LOST
-                lost_outs += 1
-                if attempt_index < cfg.max_attempts - 1:
-                    supervisor._sleep(supervisor._backoff(attempt_index))
-                continue
-            # Phase A has no completion observable: run to quiescence or
-            # the probe deadline (the phase gap of the paper's detector).
-            supervisor._run_window(deadline)
-
-            verify = supervisor._inject(
-                root,
-                {FIELD_REPEAT: REPEAT_VERIFY, FIELD_EPOCH: epoch},
-                not self.in_band,
-            )
-            if verify is None:
-                attempt.outcome = PACKET_OUT_LOST
-                lost_outs += 1
-                attempt.packet_ids = (probe.packet_id,)
-                attempt.squashed = gate.squashed
-                if attempt_index < cfg.max_attempts - 1:
-                    supervisor._sleep(supervisor._backoff(attempt_index))
-                continue
-            attempt.packet_ids = (probe.packet_id, verify.packet_id)
-
-            fresh_verdict = _verdict_watcher(engine, mark_reports, epoch)
-            got = supervisor._run_window(deadline, done=fresh_verdict)
-            attempt.squashed = gate.squashed
-
-            if got:
-                # The *earliest* terminal report of this epoch decides the
-                # attempt (reports append in emission order).  Ordering
-                # matters under duplication: a trailing verify copy can
-                # fetch the count its halted twin left behind and emit a
-                # spurious FOUND — always *after* the twin's INCOMPLETE.
-                kind = 0
-                report_node, report_pkt = -1, None
-                for node, pkt in engine.reports[mark_reports:]:
-                    if pkt.get(FIELD_EPOCH) != epoch:
-                        continue
-                    if pkt.get(FIELD_BH) in (BH_FOUND, BH_DONE, BH_INCOMPLETE):
-                        kind = pkt.get(FIELD_BH)
-                        report_node, report_pkt = node, pkt
-                        break
-                epoch_reports = [
-                    (n, p)
-                    for n, p in engine.reports[mark_reports:]
-                    if p.get(FIELD_EPOCH) == epoch
-                ]
-                if kind == BH_INCOMPLETE:
-                    # In-band proof the probe died without a count-1
-                    # signature: no verdict is derivable this epoch.  Fail
-                    # the attempt immediately (faster than the watchdog).
-                    attempt.outcome = PROBE_INCOMPLETE
-                elif kind == BH_DONE:
-                    # Clean completion: accept immediately.
-                    attempt.outcome = ACCEPTED
-                    outcome.ok = True
-                    outcome.reason = "completed"
-                    verdict = BlackholeVerdict(found=False)
-                    outcome.result = TraversalResult(
-                        root=root, packet=verify, reports=epoch_reports
-                    )
-                    break
-                else:
-                    port = report_pkt.get(FIELD_REPORT_PORT)
-                    fresh = BlackholeVerdict(
-                        found=True, location=(report_node, port)
-                    )
-                    far = network.topology.neighbor(report_node, port)
-                    if far is not None:
-                        fresh.far_end = (far.node, far.port)
-                    seen, _rep = candidates.get(fresh.location, (0, fresh))
-                    candidates[fresh.location] = (seen + 1, fresh)
-                    if seen + 1 >= 2:
-                        # Two epochs agree: the verdict is stable, accept.
-                        attempt.outcome = ACCEPTED
-                        outcome.ok = True
-                        outcome.reason = "completed"
-                        verdict = fresh
-                        outcome.result = TraversalResult(
-                            root=root, packet=verify, reports=epoch_reports
-                        )
-                        break
-                    attempt.outcome = UNCONFIRMED
-            else:
-                attempt.outcome = EXPIRED
-            if attempt_index < cfg.max_attempts - 1:
-                supervisor._sleep(supervisor._backoff(attempt_index))
-
+        outcome = supervisor.run_epochs(
+            root,
+            ({FIELD_REPEAT: REPEAT_PROBE}, {FIELD_REPEAT: REPEAT_VERIFY}),
+            lambda reports, _deliveries: verdict_report(reports) is not None,
+            judge,
+            not self.in_band,
+            fresh_engine=True,
+        )
+        topology = self.network.topology
         if outcome.ok:
+            node, pkt = verdict_report(outcome.result.reports)
+            verdict = BlackholeVerdict(found=False)
+            if pkt.get(FIELD_BH) == BH_FOUND:
+                verdict = BlackholeVerdict(
+                    found=True, location=(node, pkt.get(FIELD_REPORT_PORT))
+                )
+                far = topology.neighbor(*verdict.location)
+                if far is not None:
+                    verdict.far_end = (far.node, far.port)
             return SupervisedBlackhole(
                 verdict=verdict, degraded=False, suspects=[], supervision=outcome
             )
 
-        outcome.degraded = True
-        if outcome.attempts:
-            outcome.attempts[-1].outcome = DEGRADED_REPORT
-        if outcome.attempts and lost_outs == len(outcome.attempts):
-            outcome.reason = "controller-disconnected"
-        elif candidates:
+        if sightings:
             outcome.reason = "unconfirmed-verdict"
-        suspects: list[tuple[int, int]] = sorted(candidates)
-        if last_supervisor is not None:
-            topology = network.topology
-            for node in sorted(last_supervisor.terminal_nodes(outcome)):
-                for port in range(1, topology.degree(node) + 1):
-                    if (node, port) not in candidates:
-                        suspects.append((node, port))
+        suspects: list[tuple[int, int]] = sorted(sightings)
+        for node in sorted(supervisor.terminal_nodes(outcome)):
+            for port in range(1, topology.degree(node) + 1):
+                if (node, port) not in sightings:
+                    suspects.append((node, port))
         return SupervisedBlackhole(
             verdict=None, degraded=True, suspects=suspects, supervision=outcome
         )

@@ -626,7 +626,7 @@ class TestCrashScenarios:
         assert [s.name for s in withc] == ["snapshot", "snapshot:crash"]
         crash = withc[1]
         assert crash.crash == (1, 3)
-        assert [t.after_crash for t in crash.triggers] == [False, True]
+        assert [t.after_env for t in crash.triggers] == [False, True]
         assert [dict(t.fields)["epoch"] for t in crash.triggers] == [1, 3]
 
     def test_crash_scenarios_round_trip_json(self):
@@ -634,7 +634,7 @@ class TestCrashScenarios:
 
         payload = _crash_scenario("snapshot", 0).to_dict()
         assert payload["crash"] == [1, 3]
-        assert payload["triggers"][1]["after_crash"] is True
+        assert payload["triggers"][1]["after_env"] is True
         json.dumps(payload)
 
     @pytest.mark.parametrize(
@@ -682,7 +682,7 @@ class TestCrashScenarios:
             (
                 TriggerSpec(0, ((FIELD_EPOCH, pre),), label="pre-crash"),
                 TriggerSpec(
-                    0, ((FIELD_EPOCH, post),), after_crash=True, label="retry"
+                    0, ((FIELD_EPOCH, post),), after_env=True, label="retry"
                 ),
             ),
             crash=(pre, post),
@@ -740,15 +740,33 @@ class TestSwitchCrashScenarios:
         assert [s.sw_crash for s in sw] == [1, 2, 3]
         for scenario in sw:
             assert not scenario.allow_failures
-            assert scenario.triggers[1].after_reboot
+            assert scenario.triggers[1].after_env
 
     def test_scenario_round_trips_json(self):
         from repro.analysis.modelcheck import _switch_crash_scenarios
 
         payload = _switch_crash_scenarios("snapshot", 0, ring(4))[0].to_dict()
         assert payload["sw_crash"] == 1
-        assert payload["triggers"][1]["after_reboot"] is True
+        assert payload["triggers"][1]["after_env"] is True
         json.dumps(payload)
+
+    def test_switch_crash_traces_refuse_replay(self):
+        from repro.analysis.modelcheck import (
+            Counterexample,
+            Violation,
+            _switch_crash_scenarios,
+        )
+
+        cex = Counterexample(
+            scenario=_switch_crash_scenarios("snapshot", 0, ring(4))[1],
+            violation=Violation("MC011", "switch-crash-under-claims", "synthetic"),
+            trace=(
+                ("inject", 0), ("step", 0), ("sw-crash", 2), ("sw-reboot", 2),
+                ("inject", 1),
+            ),
+        )
+        with pytest.raises(ValueError, match="sw-crash"):
+            replay_counterexample(cex, ring(4), SnapshotService())
 
     def test_sw_losses_are_environment_losses(self):
         from repro.analysis.modelcheck import ENVIRONMENT_LOSSES
@@ -807,8 +825,8 @@ class TestSwitchCrashScenarios:
                 state, _ = explorer.apply(
                     state, ("step", state.packets[0].pid)
                 )
-            elif state.down:
-                state, _ = explorer.apply(state, ("sw-reboot", min(state.down)))
+            elif state.env_fired == 1:
+                state, _ = explorer.apply(state, ("sw-reboot", 2))
             else:
                 state, _ = explorer.apply(state, ("inject", state.next_trigger))
         kinds = [loss[0] for loss in state.losses]
@@ -842,7 +860,7 @@ class TestMC011Fires:
             "reports": (),
             "deliveries": (),
             "losses": (),
-            "sw_mark": (0, 0),
+            "env_mark": (0, 0),
         }
         fields.update(overrides)
         return ctx, GlobalState(**fields)
@@ -852,7 +870,7 @@ class TestMC011Fires:
 
     def test_vacuous_without_a_fired_crash(self):
         ctx, state = self.synthetic(
-            sw_mark=None, reports=((2, (("snap_done", 1),), ()),)
+            env_mark=None, reports=((2, (("snap_done", 1),), ()),)
         )
         assert self.violations(ctx, state) == []
 

@@ -30,6 +30,7 @@ from repro.core.services.snapshot import SnapshotService
 from repro.net.failures import fail_edge_after_steps
 from repro.net.simulator import Network
 from repro.net.topology import complete, ring, torus
+from repro.net.trace import EventKind
 
 
 class TestSupervisorConfig:
@@ -206,6 +207,26 @@ class TestControllerDisconnection:
         result = runtime.detect_blackhole(0)
         assert result.degraded
         assert result.supervision.reason == "controller-disconnected"
+
+    def test_verify_packet_out_lost_after_the_probe_went_out(self):
+        # The origin loses its controller while the probe runs: the probe
+        # was injected, the verify packet-out is lost.  The ledger names
+        # the probe alone, and the call still degrades honestly.
+        net = Network(ring(5))
+        channel = ControlChannel(net)
+        net.at_packet_step(1, lambda: channel.disconnect(0))
+        runtime = SupervisedRuntime(
+            net, config=SupervisorConfig(max_attempts=2), channel=channel
+        )
+        result = runtime.detect_blackhole(0)
+        first = result.supervision.attempts[0]
+        probe_ids = [e.packet_id for e in net.trace.events(EventKind.PACKET_OUT)]
+        assert first.outcome == PACKET_OUT_LOST
+        assert first.packet_ids == tuple(probe_ids) and len(probe_ids) == 1
+        assert result.degraded and result.verdict is None
+        assert result.supervision.reason == "controller-disconnected"
+        assert result.suspects
+        assert check_epoch_ledger(result.supervision) == []
 
 
 class TestSupervisedBlackhole:
