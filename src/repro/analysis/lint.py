@@ -30,10 +30,12 @@ from repro.analysis.symbolic import (
     FieldWidths,
     SwitchAnalyzer,
     WalkResult,
+    local_shape,
     walk_network,
 )
 from repro.net.topology import Topology
 from repro.openflow.actions import GroupAction, SetField
+from repro.openflow.flowtable import FlowEntry
 from repro.openflow.switch import Switch
 
 if TYPE_CHECKING:
@@ -219,7 +221,14 @@ def trigger_classes(service) -> tuple[list[dict[str, int | None]], bool]:
 
 class LintContext:
     """Everything rules may inspect, with the expensive symbolic analyses
-    computed once and shared across rules."""
+    computed once and shared across rules.
+
+    The local analyses (reachable entries, shadowed entries, ambiguous
+    overlaps) run once per switch *shape* (:func:`local_shape`): a node's
+    program is its degree's program with only its own tag fields and label
+    contents changed, so every node of a shape gets the same facts, which
+    map back to its own entries by ``(table_id, index)``.
+    """
 
     def __init__(
         self,
@@ -235,8 +244,11 @@ class LintContext:
         self.widths = FieldWidths.for_switches(self.switches.values())
         self._local_analyzers: dict[int, SwitchAnalyzer] = {}
         self._walk_analyzers: dict[int, SwitchAnalyzer] | None = None
-        self._analyses: dict[int, object] = {}
-        self._shadows: dict[int, list] = {}
+        self._shapes: dict[int, tuple] = {}
+        #: shape key -> fact, one dict per local analysis.
+        self._reached: dict[tuple, frozenset[tuple[int, int]]] = {}
+        self._shadows: dict[tuple, list[tuple[int, int, list[str]]]] = {}
+        self._overlaps: dict[tuple, list[tuple[int, int, int, int]]] = {}
         self._walks: dict[int, list[WalkResult]] | None = None
 
     def nodes(self) -> list[int]:
@@ -253,16 +265,61 @@ class LintContext:
             )
         return self._local_analyzers[node]
 
-    def analysis(self, node: int):
-        """'Any arrival' propagation result for *node* (free seeds)."""
-        if node not in self._analyses:
-            self._analyses[node] = self.analyzer(node).analyze()
-        return self._analyses[node]
+    def _per_shape(self, memo: dict, node: int, analyze: Callable):
+        """*analyze* of *node*'s analyzer, run for the first node of each
+        shape and shared by the rest."""
+        shape = self._shapes.get(node)
+        if shape is None:
+            shape = self._shapes[node] = local_shape(
+                self.switches[node], self.widths
+            )
+        if shape not in memo:
+            memo[shape] = analyze(self.analyzer(node))
+        return memo[shape]
 
-    def shadows(self, node: int) -> list:
-        if node not in self._shadows:
-            self._shadows[node] = self.analyzer(node).shadowed_entries()
-        return self._shadows[node]
+    def reached(self, node: int) -> frozenset[tuple[int, int]]:
+        """``(table_id, index)`` of every entry some arriving packet class
+        reaches ('any arrival' propagation from free seeds)."""
+        return self._per_shape(
+            self._reached, node, lambda analyzer: frozenset(analyzer.analyze().hits)
+        )
+
+    def shadows(self, node: int) -> list[tuple[int, int, FlowEntry, list[str]]]:
+        """:meth:`SwitchAnalyzer.shadowed_entries` of *node*."""
+        shadows = self._per_shape(
+            self._shadows,
+            node,
+            lambda analyzer: [
+                (table_id, index, covering)
+                for table_id, index, _entry, covering in analyzer.shadowed_entries()
+            ],
+        )
+        entries = self.analyzer(node).entries
+        return [
+            (table_id, index, entries[table_id][index][1], covering)
+            for table_id, index, covering in shadows
+        ]
+
+    def overlaps(self, node: int) -> list[tuple[int, int, FlowEntry, FlowEntry]]:
+        """:meth:`SwitchAnalyzer.ambiguous_overlaps` of *node*."""
+
+        def by_index(analyzer: SwitchAnalyzer) -> list[tuple[int, int, int, int]]:
+            def index(table_id: int, entry: FlowEntry) -> int:
+                return next(
+                    i for i, own in analyzer.entries[table_id] if own is entry
+                )
+
+            return [
+                (table_id, priority, index(table_id, a), index(table_id, b))
+                for table_id, priority, a, b in analyzer.ambiguous_overlaps()
+            ]
+
+        pairs = self._per_shape(self._overlaps, node, by_index)
+        entries = self.analyzer(node).entries
+        return [
+            (table_id, priority, entries[table_id][a][1], entries[table_id][b][1])
+            for table_id, priority, a, b in pairs
+        ]
 
     def walk_roots(self) -> list[int]:
         if self.config.roots is not None:
@@ -270,7 +327,9 @@ class LintContext:
         return self.nodes()
 
     def walks(self) -> dict[int, list[WalkResult]]:
-        """root -> walk results, one per trigger class of the service."""
+        """root -> walk results, one per trigger class of the service.
+
+        Walks stay per root: their cubes carry every node's tags."""
         if self._walks is None:
             if self._walk_analyzers is None:
                 self._walk_analyzers = {
@@ -307,10 +366,6 @@ class LintContext:
             return budget > 4 * self.topology.num_edges + 2
         return trigger_classes(self.service)[1]
 
-    def entry_label(self, node: int, table_id: int, index: int) -> str:
-        _idx, entry = self.analyzer(node).entries[table_id][index]
-        return entry.cookie or f"entry[{index}]"
-
 
 # --------------------------------------------------------------------- #
 # Built-in rules                                                        #
@@ -329,10 +384,10 @@ def check_dead_rules(ctx: LintContext, rule: LintRule):
     any failure pattern).  A dead rule wastes TCAM space — the paper's
     O(Δ²) table-size budget — and usually marks an emitter bug."""
     for node in ctx.nodes():
-        analysis = ctx.analysis(node)
+        reached = ctx.reached(node)
         for table_id, indexed in ctx.analyzer(node).entries.items():
             for index, entry in indexed:
-                if (table_id, index) not in analysis.hits:
+                if (table_id, index) not in reached:
                     yield rule.finding(
                         "no packet class can reach this entry",
                         node=node,
@@ -564,7 +619,7 @@ def check_ambiguous_overlap(ctx: LintContext, rule: LintRule):
     things: which one fires is undefined in OpenFlow (the simulator's
     insertion-order tiebreak would hide the bug)."""
     for node in ctx.nodes():
-        for table_id, priority, a, b in ctx.analyzer(node).ambiguous_overlaps():
+        for table_id, priority, a, b in ctx.overlaps(node):
             yield rule.finding(
                 f"overlaps {b.cookie or '<anonymous>'!r} at the same "
                 f"priority {priority} with different actions",

@@ -207,6 +207,8 @@ class Cube:
         merged = pairs_intersect(have[0], have[1], value, mask)
         if merged is None:
             return None
+        if merged == have:
+            return self
         return self._replaced(name, merged[0], merged[1])
 
     def set_field(self, name: str, value: int, widths: FieldWidths) -> "Cube":
@@ -267,10 +269,11 @@ class Cube:
         """Finitized non-in_port constraints of *match*, or None if the
         match's in_port test rejects this cube's concrete arrival port."""
         in_port_test, parts = widths.match_parts(match)
-        if in_port_test is not None and not in_port_test.hits(
-            {"in_port": self.in_port}
-        ):
-            return None
+        if in_port_test is not None:
+            mask = in_port_test.mask
+            port = self.in_port if mask is None else self.in_port & mask
+            if port != in_port_test.value:
+                return None
         return parts
 
     def intersect_match(self, match: Match, widths: FieldWidths) -> "Cube | None":
@@ -306,7 +309,8 @@ class Cube:
                 pieces.append(pinned._replaced(name, piece_value, piece_mask))
             merged = pairs_intersect(va, ma, value, mask)
             assert merged is not None  # checked disjointness above
-            pinned = pinned._replaced(name, merged[0], merged[1])
+            if merged != (va, ma):
+                pinned = pinned._replaced(name, merged[0], merged[1])
         return pieces
 
     # -- reporting ------------------------------------------------------- #
@@ -706,6 +710,86 @@ class SwitchAnalyzer:
                         if self.entries_overlap(a, b):
                             out.append((table_id, priority, a, b))
         return out
+
+
+#: Stand-ins for a switch's own tag fields in :func:`local_shape` (tuples,
+#: so no real field name can collide with them).
+_OWN_PAR = ("own", "par")
+_OWN_CUR = ("own", "cur")
+
+
+def local_shape(switch: Switch, widths: FieldWidths) -> tuple:
+    """Hashable key of everything :class:`SwitchAnalyzer`'s local analyses
+    read from *switch*: two switches with equal keys get the same
+    reachable entries, shadowed entries and ambiguous overlaps, entry for
+    entry by ``(table_id, index)``.
+
+    The key holds the port count; every table's entries in match order
+    (priority, match tests in test order, apply actions, goto, metadata
+    write, cookie); every group in insertion order (id, type, and each
+    bucket's watch port and actions); and the widths of the two renamed
+    fields.  Two parts are normalised, both by injective renamings, so an
+    equal key means the two switches are one program up to the renaming:
+
+    * the switch's own tags ``par_field(node)`` / ``cur_field(node)``
+      become placeholders (every other field keeps its name, so a test on
+      another node's tag still tells switches apart);
+    * a label action (``PushLabel`` / ``PopLabel``) becomes its type and
+      its ordinal among the switch's distinct label actions.  Labels carry
+      node ids, but propagation never reads the label stack, and the
+      ambiguous-overlap check compares actions only for equality, which
+      the ordinals keep.
+    """
+    node = switch.node_id
+    own = {par_field(node): _OWN_PAR, cur_field(node): _OWN_CUR}
+    labels: dict = {}
+
+    def action_key(action) -> object:
+        if isinstance(action, SetField):
+            return (SetField, own.get(action.name, action.name), action.value)
+        if isinstance(action, DecTtl):
+            return (DecTtl, own.get(action.field_name, action.field_name))
+        if isinstance(action, (Output, GroupAction)):
+            return action
+        # Label actions (and any other action propagation ignores).
+        return (type(action), labels.setdefault(action, len(labels)))
+
+    def actions_key(actions) -> tuple:
+        return tuple(action_key(action) for action in actions)
+
+    tables = tuple(
+        (
+            table_id,
+            tuple(
+                (
+                    entry.priority,
+                    tuple(
+                        (own.get(test.name, test.name), test.value, test.mask)
+                        for test in entry.match.tests.values()
+                    ),
+                    actions_key(entry.instructions.apply_actions),
+                    entry.instructions.goto_table,
+                    entry.instructions.write_metadata,
+                    entry.cookie,
+                )
+                for entry in switch.tables[table_id].entries()
+            ),
+        )
+        for table_id in sorted(switch.tables)
+    )
+    groups = tuple(
+        (
+            group.group_id,
+            group.group_type,
+            tuple(
+                (bucket.watch_port, actions_key(bucket.actions))
+                for bucket in group.buckets
+            ),
+        )
+        for group in switch.groups.groups()
+    )
+    own_widths = tuple(widths.width(name) for name in own)
+    return (switch.num_ports, tables, groups, own_widths)
 
 
 def _matches_may_overlap(a: Match, b: Match) -> bool:

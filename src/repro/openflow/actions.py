@@ -10,6 +10,7 @@ would (see the paper's reference [2]).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Sequence
 
 from repro.openflow.errors import ActionError
@@ -27,6 +28,13 @@ class Action:
     def apply(self, packet: Packet, emit: EmitFn, in_port: int) -> None:
         raise NotImplementedError
 
+    @property
+    def text(self) -> str:
+        """The action with every argument, as :meth:`Switch.describe` (and
+        so the inventory digest) renders it.  Subclasses spell it out;
+        this fallback is the repr."""
+        return repr(self)
+
 
 @dataclass(frozen=True)
 class SetField(Action):
@@ -38,6 +46,10 @@ class SetField(Action):
     def apply(self, packet: Packet, emit: EmitFn, in_port: int) -> None:
         packet.set(self.name, self.value)
 
+    @property
+    def text(self) -> str:
+        return f"set {self.name!r}={self.value}"
+
 
 @dataclass(frozen=True)
 class Output(Action):
@@ -47,6 +59,10 @@ class Output(Action):
 
     def apply(self, packet: Packet, emit: EmitFn, in_port: int) -> None:
         emit(self.port, packet)
+
+    @property
+    def text(self) -> str:
+        return f"output {self.port}"
 
 
 @dataclass(frozen=True)
@@ -59,6 +75,10 @@ class GroupAction(Action):
         # Resolved by the switch, which owns the group table; reaching this
         # method means the action was applied outside a switch pipeline.
         raise ActionError("GroupAction must be executed by a switch pipeline")
+
+    @property
+    def text(self) -> str:
+        return f"group {self.group_id}"
 
 
 @dataclass(frozen=True)
@@ -74,6 +94,10 @@ class PushLabel(Action):
     def apply(self, packet: Packet, emit: EmitFn, in_port: int) -> None:
         packet.push(self.record)
 
+    @property
+    def text(self) -> str:
+        return f"push {self.record!r}"
+
 
 @dataclass(frozen=True)
 class PopLabel(Action):
@@ -86,6 +110,10 @@ class PopLabel(Action):
             if packet.stack:
                 packet.pop()
 
+    @property
+    def text(self) -> str:
+        return f"pop {self.count}"
+
 
 @dataclass(frozen=True)
 class DecTtl(Action):
@@ -96,6 +124,10 @@ class DecTtl(Action):
     def apply(self, packet: Packet, emit: EmitFn, in_port: int) -> None:
         value = packet.get(self.field_name)
         packet.set(self.field_name, max(0, value - 1))
+
+    @property
+    def text(self) -> str:
+        return f"dec_ttl {self.field_name!r}"
 
 
 @dataclass(frozen=True)
@@ -119,6 +151,20 @@ class Instructions:
                 raise ActionError(
                     f"metadata value {value:#x} has bits outside mask {mask:#x}"
                 )
+
+    @cached_property
+    def text(self) -> str:
+        """Full rendering: every action with its arguments, the metadata
+        write with its mask, the goto.  :meth:`Switch.describe` (and so the
+        inventory digest) reads it; it is built on first use and kept,
+        since instructions are immutable and shared across entries."""
+        text = "[" + ", ".join([action.text for action in self.apply_actions]) + "]"
+        if self.write_metadata is not None:
+            value, mask = self.write_metadata
+            text += f" meta={value:#x}/{mask:#x}"
+        if self.goto_table is not None:
+            text += f" goto:{self.goto_table}"
+        return text
 
     def describe(self) -> str:
         """Short human-readable rendering, used by the verifier and traces."""

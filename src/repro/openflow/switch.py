@@ -505,7 +505,13 @@ class Switch:
             table = self.tables[table_id]
             lines.append(f"  table {table_id} ({len(table)} entries)")
             for entry in table.entries():
-                lines.append(f"    {entry.describe()}")
+                # Actions in full, as for buckets below, so the handshake
+                # sees a changed SetField value or metadata mask too.
+                lines.append(
+                    f"    [prio={entry.priority}] {entry.match!r} -> "
+                    f"{entry.instructions.text}"
+                    + (f"  # {entry.cookie}" if entry.cookie else "")
+                )
         for group in self.groups.groups():
             lines.append(
                 f"  group {group.group_id} {group.group_type.value} "
@@ -514,13 +520,12 @@ class Switch:
             for bucket in group.buckets:
                 # Buckets are part of the digest so the resync handshake
                 # sees group-table drift (changed actions, rewired FF
-                # watch ports), not just flow-entry drift.  Actions are
-                # frozen dataclasses, so their reprs are deterministic.
+                # watch ports), not just flow-entry drift.
                 watch = (
                     "" if bucket.watch_port is None
                     else f" watch={bucket.watch_port}"
                 )
-                actions = ", ".join(repr(action) for action in bucket.actions)
+                actions = ", ".join([action.text for action in bucket.actions])
                 lines.append(f"    bucket{watch} [{actions}]")
         return "\n".join(lines)
 

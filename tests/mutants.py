@@ -1,7 +1,8 @@
-"""Planted-mutant trial for the determinism guards (not collected by pytest).
+"""Planted-mutant trial for guards whose failure would go unseen (not
+collected by pytest).
 
-Each mutant plants one determinism or shared-state hazard in a temp copy of
-``src/`` and names the check that must catch it:
+Each mutant plants one hazard in a temp copy of ``src/`` and names the
+check that must catch it:
 
 * ``doublerun`` — ``python -m repro.analysis.doublerun``: golden scenarios
   and one chaos campaign per fault plane, run in two processes under
@@ -10,13 +11,20 @@ Each mutant plants one determinism or shared-state hazard in a temp copy of
 * ``hazards`` — ``tests/test_source_hazards.py``: the four AST checks that
   survive because their hazards replay identically until some other change
   exposes them.
+* ``blindspots`` — the key and digest tests that pin what two program
+  summaries must tell apart: lint's per-shape key
+  (``tests/test_lint_shapes.py``) and the inventory digest of the repair
+  handshake (``tests/test_switch_faults.py``,
+  ``tests/test_channel_faults.py``).  A key or digest that stops seeing a
+  field makes every check downstream of it pass silently.
 
-The script first checks that every anchor occurs exactly once and that both
-killers pass on the unmutated copy, then applies each mutant alone and runs
+The script first checks that every anchor occurs exactly once and that every
+killer passes on the unmutated copy, then applies each mutant alone and runs
 its killer.  A mutant counts as killed only when its killer fails on its
-own check (a digest mismatch, a new hazard finding), not when the mutant
-merely breaks the program.  The script exits 1 on a missing or repeated
-anchor, a failing clean run, or a mutant that is not killed.  Run from the repository root::
+own check (a digest mismatch, a new hazard finding, a blind key or digest),
+not when the mutant merely breaks the program.  The script exits 1 on a
+missing or repeated anchor, a failing clean run, or a mutant that is not
+killed.  Run from the repository root::
 
     python tests/mutants.py
 """
@@ -124,6 +132,22 @@ MUTANTS = (
         "        self.service = service\n",
         "hazards",
     ),
+    Mutant(
+        "SHAPE", "repro/analysis/symbolic.py",
+        "            return (SetField, own.get(action.name, action.name), action.value)\n",
+        "            return (SetField, own.get(action.name, action.name))\n",
+        "blindspots",
+    ),
+    Mutant(
+        "DIGEST", "repro/openflow/switch.py",
+        "                lines.append(\n"
+        '                    f"    [prio={entry.priority}] {entry.match!r} -> "\n'
+        '                    f"{entry.instructions.text}"\n'
+        '                    + (f"  # {entry.cookie}" if entry.cookie else "")\n'
+        "                )\n",
+        '                lines.append(f"    {entry.describe()}")\n',
+        "blindspots",
+    ),
 )
 
 #: killer -> (command, the output line prefix that marks a real kill: a
@@ -138,6 +162,15 @@ KILLERS = {
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          str(ROOT / "tests" / "test_source_hazards.py")],
         "E       AssertionError: new source hazards",
+    ),
+    "blindspots": (
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         str(ROOT / "tests" / "test_lint_shapes.py") + "::TestShapeSeparation",
+         str(ROOT / "tests" / "test_switch_faults.py")
+         + "::TestDigestCoversEntryActions",
+         str(ROOT / "tests" / "test_channel_faults.py")
+         + "::TestCrashResync::test_set_field_edit_is_reprogrammed"],
+        "E       AssertionError: blind to ",
     ),
 }
 

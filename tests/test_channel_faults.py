@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.control.channel import ChannelFaultConfig, ControlChannel
@@ -11,6 +13,7 @@ from repro.core.fields import FIELD_SVC
 from repro.core.services.snapshot import SnapshotService
 from repro.net.simulator import Network
 from repro.net.topology import grid, line, ring
+from repro.openflow.actions import SetField
 from repro.openflow.fastpath import FastPath
 from repro.openflow.packet import CONTROLLER_PORT, Packet
 from repro.openflow.switch import PacketOut, Switch
@@ -322,6 +325,35 @@ class TestCrashResync:
         assert report.converged
         assert 4 in report.reprogrammed_nodes
         # The handshake healed the data plane: the next snapshot is exact.
+        snap = runtime.snapshot(0)
+        assert not snap.degraded
+        assert snap.nodes == set(range(9))
+
+    def test_set_field_edit_is_reprogrammed(self):
+        # An in-place edit that changes only a SetField value, followed by
+        # touch(), is drift the handshake must see and repair.
+        _net, _channel, runtime = self.make_runtime()
+        runtime.snapshot(0)
+        (switch,) = runtime.switches_at(4)
+        table, entry = next(
+            (table, entry)
+            for table in switch.tables.values()
+            for entry in table.entries()
+            if any(isinstance(a, SetField) for a in entry.instructions.apply_actions)
+        )
+        entry.instructions = replace(
+            entry.instructions,
+            apply_actions=tuple(
+                replace(a, value=a.value + 1) if isinstance(a, SetField) else a
+                for a in entry.instructions.apply_actions
+            ),
+        )
+        table.touch()
+        report = runtime.resynchronize(0)
+        assert report.converged
+        assert report.reprogrammed_nodes == [4], (
+            "blind to an in-place SetField edit: node 4 not reprogrammed"
+        )
         snap = runtime.snapshot(0)
         assert not snap.degraded
         assert snap.nodes == set(range(9))

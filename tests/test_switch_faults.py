@@ -219,6 +219,32 @@ class TestSwitchFaultConfig:
         assert target.inventory_digest() != donor.inventory_digest()
 
 
+class TestDigestCoversEntryActions:
+    """Flow entries are digested with their action arguments and the
+    metadata mask, as group buckets are."""
+
+    def entry(self, actions=(SetField("v1.cur", 1),), meta=(1, 0xFF)):
+        switch = make_switch()
+        switch.install(
+            0, Match(x=1),
+            Instructions(apply_actions=actions, write_metadata=meta), priority=1,
+        )
+        return switch
+
+    def test_set_field_value_in_digest(self):
+        a = self.entry(actions=(SetField("v1.cur", 1),))
+        b = self.entry(actions=(SetField("v1.cur", 2),))
+        assert a.inventory_digest() != b.inventory_digest(), (
+            "blind to a SetField value: equal inventory digests"
+        )
+
+    def test_write_metadata_mask_in_digest(self):
+        a, b = self.entry(meta=(1, 0xFF)), self.entry(meta=(1, 0xF))
+        assert a.inventory_digest() != b.inventory_digest(), (
+            "blind to a write-metadata mask: equal inventory digests"
+        )
+
+
 class TestDigestCoversGroups:
     def base(self):
         switch = make_switch()
