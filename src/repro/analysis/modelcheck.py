@@ -1,6 +1,6 @@
 """Bounded explicit-state model checking of compiled SmartSouth deployments.
 
-PR 1's symbolic engine (:mod:`repro.analysis.symbolic`) proves *per-packet*
+The symbolic engine (:mod:`repro.analysis.symbolic`) proves *per-packet*
 properties of a rule set.  SmartSouth's headline claims, however, are
 *temporal* properties of the distributed traversal — the DFS visits every
 live edge, the trigger returns to the root within 2·|E| hops, smart counters
@@ -15,24 +15,27 @@ A :class:`GlobalState` is the tuple the paper's §2 state-machine argument
 quantifies over, made explicit:
 
 * **in-flight packets** — SmartSouth keeps all per-node tag registers
-  (``v{n}.par`` / ``v{n}.cur``) *in the packet*, so a packet's exact header
-  cube + label stack + location is the whole traversal state;
+  (``v{n}.par`` / ``v{n}.cur``) *in the packet*, so a packet's concrete
+  header + label stack + location is the whole traversal state;
 * **the live-link set** — which edges are up (fast-failover consults it);
 * **smart-counter cursors** — the only per-switch mutable state the
   compiled pipelines have (round-robin ``SELECT`` groups);
 * **trigger/failure budgets** and the accumulated observables (controller
   reports, local deliveries, packet losses).
 
-Transitions are *driven by the PR 1 symbolic engine*: a packet step runs the
-packet's exact cube through the node's compiled tables with
-:meth:`Cube.intersect_match` per entry in priority order — the checker
-verifies the compiled rules, not a re-implementation of the algorithm.
-Because every field any rule matches is pinned exact at injection
-(:func:`zero_state_fields`) and stays exact under ``set_field`` /
-``dec_ttl`` / concrete counter fetches, the first matching entry is *the*
-matching entry and the step is deterministic given the nondeterministic
-environment choices (which packet moves, which link fails, when a trigger
-is injected).
+Transitions run the compiled rules through the switch's own semantics:
+:func:`step_switch` walks a node's tables as :meth:`Switch.process` does,
+testing entries with :meth:`Match.hits` and applying every non-group action
+through its own :meth:`Action.apply`, so the checker verifies the compiled
+rules, not a re-implementation of the pipeline or of the algorithm.  Only
+group dispatch is the checker's own, because only there does its
+environment differ from the switch's: fast-failover liveness comes from the
+state's live edges, SELECT cursors from the state's cursors.  A trigger
+is injected with every SmartSouth field zero (:func:`zero_state_names`)
+plus its own fields.  A step is a function of the packet, the live edges
+and the cursors, and changes nothing on the switch it reads, so all
+nondeterminism is the environment's (which packet moves, which link fails,
+when a trigger is injected).
 
 Invariants
 ----------
@@ -97,16 +100,10 @@ from collections import deque
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from repro.analysis.symbolic import (
-    METADATA_WIDTH,
-    Cube,
-    FieldWidths,
-    zero_state_fields,
-)
+from repro.analysis.symbolic import zero_state_names
 from repro.core.fields import (
     FIELD_EPOCH,
     FIELD_GID,
-    FIELD_OPT_VAL,
     FIELD_RECCAP,
     FIELD_REPEAT,
     FIELD_SNAP_DONE,
@@ -124,20 +121,13 @@ from repro.core.services.blackhole import (
 )
 from repro.core.smart_counter import counter_bucket_value
 from repro.net.topology import Topology
-from repro.openflow.actions import (
-    DecTtl,
-    GroupAction,
-    Output,
-    PopLabel,
-    PushLabel,
-    SetField,
-)
-from repro.openflow.group import Group, GroupType
-from repro.openflow.match import full_mask
+from repro.openflow.actions import GroupAction, PopLabel
+from repro.openflow.group import GroupType, first_live_bucket
 from repro.openflow.packet import (
     CONTROLLER_PORT,
     IN_PORT,
     LOCAL_PORT,
+    Packet,
     is_physical_port,
     port_name,
 )
@@ -472,28 +462,22 @@ def hop_bound(service_name: str, topology: Topology) -> int:
 
 
 # --------------------------------------------------------------------- #
-# The stateful stepper (one packet through one compiled pipeline)       #
+# One packet step through one compiled pipeline                         #
 # --------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class Emission:
-    """One output of a pipeline step, with FF-selection provenance."""
-
-    port: int  # resolved (IN_PORT replaced by the arrival port)
-    cube: Cube
-    stack: tuple
-    source: str
-    #: For emissions from a fast-failover bucket: did the group have
-    #: another live bucket when this one was selected?  (MC006 evidence.)
-    ff_alternative: bool | None = None
 
 
 @dataclass
 class StepOutcome:
     """Everything one packet step produced."""
 
-    emissions: list[Emission] = dataclass_field(default_factory=list)
+    #: (port, fields, stack, ff_alternative) per output, in emission order.
+    #: The port is resolved (IN_PORT becomes the arrival port); *fields* is
+    #: the header as emitted; *ff_alternative* says, for an emission from a
+    #: fast-failover bucket, whether the group had another live bucket
+    #: when this one was selected (MC006 evidence), and is None otherwise.
+    emissions: list[tuple[int, dict[str, int], tuple, bool | None]] = (
+        dataclass_field(default_factory=list)
+    )
     #: (group_id, bucket index used, value that bucket writes).
     fetches: list[tuple[int, int, int | None]] = dataclass_field(
         default_factory=list
@@ -503,215 +487,116 @@ class StepOutcome:
     error: str | None = None
 
 
-class StatefulStepper:
-    """Deterministic executor for exact cubes on one compiled switch.
+class _StepError(Exception):
+    """A structural pipeline error; its text becomes ``StepOutcome.error``."""
 
-    Mirrors :meth:`Switch.process` exactly (emission snapshots, metadata
-    masking, forward-only goto, group semantics) but runs on the symbolic
-    layer's :class:`Cube` primitives and externalizes the two pieces of
-    mutable environment: port liveness (the model's live-edge set) and the
-    smart-counter cursors (fetch-and-increment through a callback, so the
-    global state owns them).
+
+def step_switch(
+    switch: Switch,
+    in_port: int,
+    fields: Iterable[tuple[str, int]],
+    stack: Sequence[tuple],
+    port_live: Callable[[int], bool],
+    cursors: dict[tuple[int, int], int],
+) -> StepOutcome:
+    """Run one packet through *switch*'s pipeline without touching it.
+
+    The walk is :meth:`Switch.process`'s: tables in match order, each entry
+    tested with :meth:`Match.hits` over :meth:`Switch.match_context`, the
+    masked metadata write, forward-only goto, and every non-group action
+    applied through its own :meth:`Action.apply`.  Only group dispatch is
+    the checker's, because only there does its environment differ from the
+    switch's: fast-failover liveness is *port_live* (the state's live
+    edges), SELECT cursors are read from and advanced in *cursors* (keyed
+    ``(node, group_id)``, defaulting to the group's ``rr_next``), and the
+    MC003 and MC006 evidence is recorded on the way.  Nothing on the switch
+    moves: no entry, group or bucket counter, no ``rr_next`` and no packet
+    id (the packet is built with ``packet_id=0`` and clones likewise).
     """
+    out = StepOutcome()
+    node = switch.node_id
 
-    MAX_PIPELINE_STEPS = Switch.MAX_PIPELINE_STEPS
+    def run(actions, packet: Packet, ff_alternative, active) -> None:
+        def emit(port: int, pkt: Packet) -> None:
+            resolved = in_port if port == IN_PORT else port
+            out.emissions.append(
+                (resolved, dict(pkt.fields), tuple(pkt.stack), ff_alternative)
+            )
 
-    def __init__(self, switch: Switch, widths: FieldWidths) -> None:
-        self.switch = switch
-        self.widths = widths
-        self.entries = {
-            table_id: switch.tables[table_id].indexed_entries()
-            for table_id in sorted(switch.tables)
-        }
+        for action in actions:
+            if isinstance(action, GroupAction):
+                run_group(action.group_id, packet, active)
+                continue
+            if isinstance(action, PopLabel):
+                out.pops_on_empty += max(0, action.count - len(packet.stack))
+            action.apply(packet, emit, in_port)
 
-    def entry_cube(self, in_port: int, cube: Cube) -> Cube:
-        """Rebase *cube* for pipeline entry: arrival port + metadata = 0."""
-        constraints = dict(cube.constraints)
-        constraints["metadata"] = (0, full_mask(METADATA_WIDTH))
-        return Cube(in_port, constraints)
+    def run_group(group_id: int, packet: Packet, active) -> None:
+        if group_id in active:
+            raise _StepError(f"group-loop:{group_id}")
+        if group_id not in switch.groups:
+            raise _StepError(f"unknown-group:{group_id}")
+        group = switch.groups.get(group_id)
+        active = active | {group_id}
+        buckets = group.buckets
+        if group.group_type is GroupType.ALL:
+            for bucket in buckets:
+                clone = Packet(
+                    dict(packet.fields), list(packet.stack), packet_id=0
+                )
+                run(bucket.actions, clone, None, active)
+        elif group.group_type is GroupType.INDIRECT:
+            if buckets:
+                run(buckets[0].actions, packet, None, active)
+        elif group.group_type is GroupType.FF:
+            index = first_live_bucket(buckets, port_live)
+            if index is not None:  # else OpenFlow drops silently
+                others = buckets[:index] + buckets[index + 1 :]
+                alternative = first_live_bucket(others, port_live) is not None
+                run(buckets[index].actions, packet, alternative, active)
+        else:  # SELECT (round robin): the cursor lives in the global state
+            if not buckets:
+                raise _StepError(f"empty-select:{group_id}")
+            key = (node, group_id)
+            index = cursors.get(key, group.rr_next)
+            cursors[key] = (index + 1) % len(buckets)
+            if not 0 <= index < len(buckets):
+                raise _StepError(f"select-cursor:{group_id}:{index}")
+            out.fetches.append(
+                (group_id, index, counter_bucket_value(group, index))
+            )
+            run(buckets[index].actions, packet, None, active)
 
-    def step(
-        self,
-        in_port: int,
-        cube: Cube,
-        stack: Sequence[tuple],
-        port_live: Callable[[int], bool],
-        fetch: Callable[[Group], int],
-    ) -> StepOutcome:
-        out = StepOutcome()
-        cur = self.entry_cube(in_port, cube)
-        cur_stack = list(stack)
-        table_id = 0
-        steps = 0
-        while True:
-            steps += 1
-            if steps > self.MAX_PIPELINE_STEPS:
-                out.error = "pipeline-limit"
-                return out
-            entries = self.entries.get(table_id)
-            if entries is None:
-                out.error = f"missing-table:{table_id}"
-                return out
-            hit = None
-            for _index, entry in entries:
-                matched = cur.intersect_match(entry.match, self.widths)
-                if matched is not None:
-                    hit = (entry, matched)
+    packet = Packet(dict(fields), list(stack), packet_id=0)
+    metadata = 0
+    table_id = 0
+    try:
+        for _step in range(Switch.MAX_PIPELINE_STEPS):
+            table = switch.tables.get(table_id)
+            if table is None:
+                raise _StepError(f"missing-table:{table_id}")
+            context = Switch.match_context(packet, in_port, metadata)
+            for entry in table.entries():
+                if entry.match.hits(context):
                     break
-            if hit is None:
+            else:
                 out.miss_table = table_id
                 return out
-            entry, matched = hit
-            if matched.constraints != cur.constraints:
-                # The cube was not exact on a matched field — the checker's
-                # determinism assumption broke (never for compiled SmartSouth,
-                # whose trigger classes pin every matched field).
-                out.error = f"nonexact-match:{table_id}"
-                return out
-            cur = matched
             instructions = entry.instructions
             if instructions.write_metadata is not None:
                 value, mask = instructions.write_metadata
-                cur = cur.write_metadata(value, mask, self.widths)
-            source = entry.cookie or f"table{table_id}"
-            cur, cur_stack = self._apply_actions(
-                instructions.apply_actions,
-                cur,
-                cur_stack,
-                in_port,
-                port_live,
-                fetch,
-                out,
-                source,
-                frozenset(),
-                None,
-            )
-            if out.error is not None:
-                return out
+                metadata = (metadata & ~mask) | (value & mask)
+            run(instructions.apply_actions, packet, None, frozenset())
             goto = instructions.goto_table
             if goto is None:
                 return out
             if goto <= table_id:
-                out.error = f"goto-backward:{table_id}->{goto}"
-                return out
+                raise _StepError(f"goto-backward:{table_id}->{goto}")
             table_id = goto
-
-    def _apply_actions(
-        self,
-        actions,
-        cube: Cube,
-        stack: list,
-        in_port: int,
-        port_live,
-        fetch,
-        out: StepOutcome,
-        source: str,
-        active_groups: frozenset[int],
-        ff_alternative: bool | None,
-    ) -> tuple[Cube, list]:
-        for action in actions:
-            if out.error is not None:
-                return cube, stack
-            if isinstance(action, SetField):
-                cube = cube.set_field(action.name, action.value, self.widths)
-            elif isinstance(action, Output):
-                port = in_port if action.port == IN_PORT else action.port
-                out.emissions.append(
-                    Emission(port, cube, tuple(stack), source, ff_alternative)
-                )
-            elif isinstance(action, DecTtl):
-                cube = cube.dec_field(action.field_name, self.widths)
-            elif isinstance(action, PushLabel):
-                stack.append(action.record)
-            elif isinstance(action, PopLabel):
-                for _ in range(action.count):
-                    if stack:
-                        stack.pop()
-                    else:
-                        out.pops_on_empty += 1
-            elif isinstance(action, GroupAction):
-                cube, stack = self._exec_group(
-                    action.group_id,
-                    cube,
-                    stack,
-                    in_port,
-                    port_live,
-                    fetch,
-                    out,
-                    source,
-                    active_groups,
-                )
-            # Unknown actions: none exist in this codebase.
-        return cube, stack
-
-    def _exec_group(
-        self,
-        group_id: int,
-        cube: Cube,
-        stack: list,
-        in_port: int,
-        port_live,
-        fetch,
-        out: StepOutcome,
-        source: str,
-        active_groups: frozenset[int],
-    ) -> tuple[Cube, list]:
-        if group_id in active_groups:
-            out.error = f"group-loop:{group_id}"
-            return cube, stack
-        if group_id not in self.switch.groups:
-            out.error = f"unknown-group:{group_id}"
-            return cube, stack
-        group = self.switch.groups.get(group_id)
-        active = active_groups | {group_id}
-        tag = f"{source}|group:{group_id}"
-
-        def run_bucket(bucket, start_cube, start_stack, ff_alt):
-            return self._apply_actions(
-                bucket.actions,
-                start_cube,
-                start_stack,
-                in_port,
-                port_live,
-                fetch,
-                out,
-                tag,
-                active,
-                ff_alt,
-            )
-
-        if group.group_type is GroupType.ALL:
-            for bucket in group.buckets:
-                run_bucket(bucket, cube, list(stack), None)  # clones
-            return cube, stack
-        if group.group_type is GroupType.INDIRECT:
-            if group.buckets:
-                return run_bucket(group.buckets[0], cube, stack, None)
-            return cube, stack
-        if group.group_type is GroupType.FF:
-            live = [
-                bucket.watch_port is None or port_live(bucket.watch_port)
-                for bucket in group.buckets
-            ]
-            for index, bucket in enumerate(group.buckets):
-                if live[index]:
-                    alternative = any(
-                        live[j] for j in range(len(live)) if j != index
-                    )
-                    return run_bucket(bucket, cube, stack, alternative)
-            return cube, stack  # no live bucket: OpenFlow drops silently
-        # SELECT (round robin): the cursor lives in the *global state*.
-        if not group.buckets:
-            out.error = f"empty-select:{group_id}"
-            return cube, stack
-        index = fetch(group)
-        if not 0 <= index < len(group.buckets):
-            out.error = f"select-cursor:{group_id}:{index}"
-            return cube, stack
-        out.fetches.append(
-            (group_id, index, counter_bucket_value(group, index))
-        )
-        return run_bucket(group.buckets[index], cube, stack, None)
+        raise _StepError("pipeline-limit")
+    except _StepError as exc:
+        out.error = str(exc)
+        return out
 
 
 # --------------------------------------------------------------------- #
@@ -720,23 +605,28 @@ class StatefulStepper:
 
 
 class PacketState:
-    """One in-flight packet: location + exact header cube + label stack."""
+    """One in-flight packet: location + concrete header + label stack.
 
-    __slots__ = ("pid", "node", "in_port", "cube", "stack", "hops", "_key")
+    *fields* is the header as a sorted ``(field, value)`` tuple: every field
+    the injection state pins (zeros included) plus any field an action has
+    set since.
+    """
+
+    __slots__ = ("pid", "node", "in_port", "fields", "stack", "hops", "_key")
 
     def __init__(
         self,
         pid: int,
         node: int,
         in_port: int,
-        cube: Cube,
+        fields: tuple[tuple[str, int], ...],
         stack: tuple,
         hops: int,
     ) -> None:
         self.pid = pid
         self.node = node
         self.in_port = in_port
-        self.cube = cube
+        self.fields = fields
         self.stack = stack
         self.hops = hops
         self._key: tuple | None = None
@@ -747,7 +637,7 @@ class PacketState:
                 self.pid,
                 self.node,
                 self.in_port,
-                self.cube.key(),
+                self.fields,
                 self.stack,
                 self.hops,
             )
@@ -860,11 +750,11 @@ class GlobalState:
 #: (kind, node, port, edge_id) for losses.
 
 
-def _observe(cube: Cube) -> tuple:
-    """Nonzero exact header fields of an emitted packet (stable order)."""
-    return tuple(
-        sorted((name, value) for name, value in cube.witness().items() if value)
-    )
+def observe(fields: Mapping[str, int]) -> tuple:
+    """The report/delivery observable of an emitted header: its nonzero
+    fields in name order.  The checker and the simulator replay both
+    judge packets by it."""
+    return tuple(sorted((name, value) for name, value in fields.items() if value))
 
 
 def obs_fields(observation: tuple) -> dict[str, int]:
@@ -975,12 +865,10 @@ class ModelContext:
         topology: Topology,
         service,
         scenario: Scenario,
-        widths: FieldWidths,
     ) -> None:
         self.topology = topology
         self.service = service
         self.scenario = scenario
-        self.widths = widths
         self.all_edges = frozenset(range(topology.num_edges))
         self.hop_bound = hop_bound(service.name, topology)
         self._components: dict[frozenset[int], set[int]] = {}
@@ -1041,7 +929,7 @@ def _check_loop(ctx: ModelContext, state: GlobalState, info: StepInfo):
     inv = INVARIANTS["MC001"]
     if info.outcome.error == "pipeline-limit":
         yield inv.violation(
-            f"pipeline exceeded {StatefulStepper.MAX_PIPELINE_STEPS} steps "
+            f"pipeline exceeded {Switch.MAX_PIPELINE_STEPS} steps "
             f"(rule loop inside the switch)",
             node=info.node,
         )
@@ -1604,14 +1492,14 @@ class Explorer:
 
     def __init__(
         self,
-        steppers: Mapping[int, StatefulStepper],
+        switches: Mapping[int, Switch],
         topology: Topology,
         scenario: Scenario,
         ctx: ModelContext,
         config: CheckConfig,
         invariants: Mapping[str, Invariant],
     ) -> None:
-        self.steppers = steppers
+        self.switches = switches
         self.topology = topology
         self.scenario = scenario
         self.ctx = ctx
@@ -1622,32 +1510,24 @@ class Explorer:
         self.terminal_invariants = [
             inv for inv in invariants.values() if inv.scope == "terminal"
         ]
-        self.widths = ctx.widths
-        self._trigger_cubes = [
-            self._build_trigger_cube(spec) for spec in scenario.triggers
+        names = zero_state_names(switches, topology)
+        self._trigger_fields = [
+            self._trigger_header(names, spec) for spec in scenario.triggers
         ]
         self._events = scenario.events
 
     # -- state construction ---------------------------------------------- #
 
-    def _build_trigger_cube(self, spec: TriggerSpec) -> Cube:
-        switches = {
-            node: stepper.switch for node, stepper in self.steppers.items()
-        }
-        constraints = dict(
-            zero_state_fields(switches, self.topology, self.widths)
-        )
-        service_id = getattr(self.ctx.service, "service_id", 0)
-        overrides = dict(spec.fields)
-        overrides.setdefault(FIELD_SVC, service_id)
-        for name, value in overrides.items():
-            self.widths.observe(name, value)
-            constraints[name] = (
-                value,
-                full_mask(self.widths.width(name), value),
-            )
-        constraints.pop("metadata", None)
-        return Cube(LOCAL_PORT, constraints)
+    def _trigger_header(
+        self, names: Iterable[str], spec: TriggerSpec
+    ) -> tuple[tuple[str, int], ...]:
+        """The injected header: every field zero (the paper's
+        zero-initialized tags), then the trigger's overrides and the
+        service id."""
+        header = dict.fromkeys(names, 0)
+        header[FIELD_SVC] = getattr(self.ctx.service, "service_id", 0)
+        header.update(spec.fields)
+        return tuple(sorted(header.items()))
 
     def initial_state(self) -> GlobalState:
         budget = (
@@ -1723,7 +1603,7 @@ class Explorer:
                 state.next_pid,
                 spec.root,
                 LOCAL_PORT,
-                self._trigger_cubes[index],
+                self._trigger_fields[index],
                 (),
                 0,
             )
@@ -1742,7 +1622,7 @@ class Explorer:
                 state.next_pid,
                 self.scenario.triggers[0].root,
                 LOCAL_PORT,
-                self._trigger_cubes[0],
+                self._trigger_fields[0],
                 (),
                 0,
             )
@@ -1813,7 +1693,6 @@ class Explorer:
                 packets=tuple(p for p in state.packets if p.pid != packet.pid),
                 losses=state.losses + (loss,),
             ), info
-        stepper = self.steppers[node]
         live = state.live
 
         def port_live(port: int) -> bool:
@@ -1821,15 +1700,13 @@ class Explorer:
             return edge is not None and edge.edge_id in live
 
         cursors = dict(state.cursors)
-
-        def fetch(group: Group) -> int:
-            key = (node, group.group_id)
-            cursor = cursors.get(key, group.rr_next)
-            cursors[key] = (cursor + 1) % len(group.buckets)
-            return cursor
-
-        outcome = stepper.step(
-            packet.in_port, packet.cube, packet.stack, port_live, fetch
+        outcome = step_switch(
+            self.switches[node],
+            packet.in_port,
+            packet.fields,
+            packet.stack,
+            port_live,
+            cursors,
         )
 
         new_packets: list[PacketState] = []
@@ -1837,49 +1714,39 @@ class Explorer:
         reports: list[tuple] = []
         deliveries: list[tuple] = []
         next_pid = state.next_pid
-        for emission in outcome.emissions:
-            if emission.port == CONTROLLER_PORT:
-                reports.append(
-                    (node, _observe(emission.cube), emission.stack)
-                )
+        for port, fields, stack, ff_alternative in outcome.emissions:
+            if port == CONTROLLER_PORT:
+                reports.append((node, observe(fields), stack))
                 continue
-            if emission.port == LOCAL_PORT:
-                deliveries.append((node, _observe(emission.cube)))
+            if port == LOCAL_PORT:
+                deliveries.append((node, observe(fields)))
                 continue
-            if not is_physical_port(emission.port):
-                losses.append(
-                    ("dead_port", node, emission.port, -1,
-                     emission.ff_alternative)
-                )
+            if not is_physical_port(port):
+                losses.append(("dead_port", node, port, -1, ff_alternative))
                 continue
-            edge = self.topology.port_edge(node, emission.port)
+            edge = self.topology.port_edge(node, port)
             if edge is None or edge.edge_id not in live:
                 losses.append(
                     (
                         "dead_port",
                         node,
-                        emission.port,
+                        port,
                         -1 if edge is None else edge.edge_id,
-                        emission.ff_alternative,
+                        ff_alternative,
                     )
                 )
                 continue
             if edge.edge_id in self.scenario.blackholes:
-                losses.append(
-                    ("swallowed", node, emission.port, edge.edge_id, None)
-                )
+                losses.append(("swallowed", node, port, edge.edge_id, None))
                 continue
-            peer = self.topology.neighbor(node, emission.port)
-            arrival = Cube(
-                peer.port, dict(emission.cube.havoc("metadata").constraints)
-            )
+            peer = self.topology.neighbor(node, port)
             new_packets.append(
                 PacketState(
                     next_pid,
                     peer.node,
                     peer.port,
-                    arrival,
-                    emission.stack,
+                    tuple(sorted(fields.items())),
+                    stack,
                     packet.hops + 1,
                 )
             )
@@ -1934,8 +1801,7 @@ class Explorer:
         crash = self.scenario.crash
         if crash is None or packet.node != self.scenario.root:
             return None
-        constraint = packet.cube.constraints.get(FIELD_EPOCH)
-        epoch = constraint[0] if constraint else 0
+        epoch = dict(packet.fields).get(FIELD_EPOCH, 0)
         gate = crash[1] if ("crash",) in fired else crash[0]
         return None if not gate or epoch in (0, gate) else "squashed"
 
@@ -2188,11 +2054,6 @@ def run_check(
     """Model-check compiled *switches* for *service* on *topology*."""
     config = config or CheckConfig()
     chosen = active_invariants(config.disable, invariants)
-    widths = FieldWidths.for_switches(switches.values())
-    steppers = {
-        node: StatefulStepper(switch, widths)
-        for node, switch in switches.items()
-    }
     roots = list(config.roots) if config.roots else [0]
     counterexamples: list[Counterexample] = []
     states = 0
@@ -2204,9 +2065,9 @@ def run_check(
             crash=config.crash, switch_crash=config.switch_crash,
         ):
             scenario_count += 1
-            ctx = ModelContext(topology, service, scenario, widths)
+            ctx = ModelContext(topology, service, scenario)
             explorer = Explorer(
-                steppers, topology, scenario, ctx, config, chosen
+                switches, topology, scenario, ctx, config, chosen
             )
             found, explored, ran_out = explorer.explore()
             counterexamples.extend(found)

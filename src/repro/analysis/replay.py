@@ -20,9 +20,12 @@ mirrors the checker's deterministic trace closure.  The replay then asks:
 invariants this is literal: the simulator's observables (controller
 reports, local deliveries, dead-port/swallow losses, final live-link set)
 are packed into a synthetic terminal :class:`GlobalState` and judged by the
-**same** invariant implementations the checker used — a differential
-cross-check between the symbolic stepper and :meth:`Switch.process`, not a
-reimplementation of the oracle.
+**same** invariant implementations the checker used, over the same
+observable (:func:`~repro.analysis.modelcheck.observe`).  The checker's
+step already runs the switch's own match and action code, so the replay
+is the end-to-end confirmation of a trace in the timed simulator — links,
+event order and the engine's sinks included — not a reimplementation of
+the oracle.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ from repro.analysis.modelcheck import (
     ModelContext,
     Scenario,
     hop_bound,
+    observe,
 )
-from repro.analysis.symbolic import FieldWidths
 from repro.core.engine import make_engine
 from repro.core.smart_counter import counter_bucket_value
 from repro.net.failures import fail_edge_after_steps
@@ -47,15 +50,9 @@ from repro.net.topology import Topology
 from repro.net.trace import EventKind
 from repro.openflow.errors import OpenFlowError
 from repro.openflow.group import GroupType
-from repro.openflow.packet import Packet
 
 #: Event budget for one replay; generous, but a rule loop hits it fast.
 DEFAULT_REPLAY_EVENTS = 200_000
-
-
-def _observe_packet(packet: Packet) -> tuple:
-    """The checker's report/delivery observable: sorted nonzero fields."""
-    return tuple(sorted((k, v) for k, v in packet.fields.items() if v))
 
 
 @dataclass
@@ -172,11 +169,11 @@ def replay_counterexample(
         result.pipeline_error = f"{type(exc).__name__}: {exc}"
 
     result.reports = [
-        (node, _observe_packet(packet), tuple(packet.stack))
+        (node, observe(packet.fields), tuple(packet.stack))
         for node, packet in engine.reports
     ]
     result.deliveries = [
-        (node, _observe_packet(packet)) for node, packet in engine.deliveries
+        (node, observe(packet.fields)) for node, packet in engine.deliveries
     ]
     result.dead_ports = network.trace.count(EventKind.DEAD_PORT)
     result.swallowed = network.trace.count(EventKind.DROP)
@@ -207,9 +204,7 @@ def confirms_violation(
     inv_id = violation.invariant
 
     if inv_id in _TERMINAL_IDS:
-        switches = getattr(result.engine, "switches", {})
-        widths = FieldWidths.for_switches(switches.values())
-        ctx = ModelContext(topology, service, result.scenario, widths)
+        ctx = ModelContext(topology, service, result.scenario)
         state = result.terminal_state()
         found = [
             v

@@ -315,15 +315,6 @@ class Cube:
 
     # -- reporting ------------------------------------------------------- #
 
-    def witness(self) -> dict[str, int]:
-        """A concrete example header satisfying this cube (minimal values:
-        unconstrained bits are 0, matching the zero-initialized-tag model)."""
-        return {
-            name: value
-            for name, (value, _mask) in sorted(self.constraints.items())
-            if name != "metadata"
-        }
-
     def describe(self) -> str:
         parts = [f"in_port={port_name(self.in_port)}"]
         for name, (value, mask) in sorted(self.constraints.items()):
@@ -839,11 +830,12 @@ class WalkResult:
         return sorted(expected - self.swept)
 
 
-def zero_state_fields(
-    switches: dict[int, Switch], topology: Topology, widths: FieldWidths
-) -> dict[str, tuple[int, int]]:
-    """Constraints pinning every SmartSouth field to 0 (the paper's
-    "all tag fields are initialized to 0" injection state)."""
+def zero_state_names(
+    switches: dict[int, Switch], topology: Topology
+) -> list[str]:
+    """Every SmartSouth header field, sorted: the global fields, each
+    node's ``par``/``cur`` tags and every field a rule matches (the
+    pipeline registers ``in_port`` and ``metadata`` excepted)."""
     names: set[str] = set(GLOBAL_FIELD_BITS)
     for node in topology.nodes():
         names.add(par_field(node))
@@ -853,7 +845,18 @@ def zero_state_fields(
             for name in entry.match.field_names():
                 if name not in ("in_port", "metadata"):
                     names.add(name)
-    return {name: (0, full_mask(widths.width(name))) for name in sorted(names)}
+    return sorted(names)
+
+
+def zero_state_fields(
+    switches: dict[int, Switch], topology: Topology, widths: FieldWidths
+) -> dict[str, tuple[int, int]]:
+    """Constraints pinning every SmartSouth field to 0 (the paper's
+    "all tag fields are initialized to 0" injection state)."""
+    return {
+        name: (0, full_mask(widths.width(name)))
+        for name in zero_state_names(switches, topology)
+    }
 
 
 #: Default budget of symbolic states explored per walk.

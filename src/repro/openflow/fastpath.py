@@ -211,7 +211,7 @@ def _slot_expr(name: str, mask: int | None) -> str:
     """The Python expression reading one signature slot from the context.
 
     ``in_port`` and ``metadata`` are pipeline registers, not packet fields
-    (mirrors :meth:`Switch._context`); everything else reads the packet's
+    (mirrors :meth:`Switch.match_context`); everything else reads the packet's
     field dict with the "absent reads as 0" convention.
     """
     if name == "in_port":

@@ -80,6 +80,19 @@ class Group:
             )
 
 
+def first_live_bucket(
+    buckets: Sequence[Bucket], liveness: LivenessFn
+) -> int | None:
+    """Index of the bucket a fast-failover group runs: the first whose
+    watch port is live (a bucket with no watch port always is), or None
+    when every bucket is dead and the packet drops.  Pure, so the group
+    table and the model checker's group dispatch share one selection."""
+    for index, bucket in enumerate(buckets):
+        if bucket.watch_port is None or liveness(bucket.watch_port):
+            return index
+    return None
+
+
 class GroupTable:
     """All groups of one switch, plus the execution engine for them."""
 
@@ -174,9 +187,11 @@ class GroupTable:
             if group.buckets:
                 self._run_bucket(group.buckets[0], packet, emit, in_port, active)
         elif group.group_type is GroupType.FF:
-            bucket = self._first_live_bucket(group)
-            if bucket is not None:
-                self._run_bucket(bucket, packet, emit, in_port, active)
+            index = first_live_bucket(group.buckets, self._liveness)
+            if index is not None:
+                self._run_bucket(
+                    group.buckets[index], packet, emit, in_port, active
+                )
             # No live bucket: OpenFlow drops the packet silently.
         elif group.group_type is GroupType.SELECT:
             if not group.buckets:
@@ -186,18 +201,6 @@ class GroupTable:
             self._run_bucket(bucket, packet, emit, in_port, active)
         else:  # pragma: no cover - exhaustive enum
             raise GroupError(f"unsupported group type {group.group_type}")
-
-    def _first_live_bucket(self, group: Group) -> Bucket | None:
-        for bucket in group.buckets:
-            if bucket.watch_port is None:
-                return bucket
-            if self._liveness(bucket.watch_port):
-                return bucket
-        return None
-
-    def bucket_live(self, bucket: Bucket) -> bool:
-        """Expose bucket liveness (used by the static verifier)."""
-        return bucket.watch_port is None or self._liveness(bucket.watch_port)
 
     def _run_bucket(
         self,

@@ -86,7 +86,10 @@ class Match:
 
     def hits(self, context: Mapping[str, int]) -> bool:
         """True if every field test is satisfied by *context*."""
-        return all(test.hits(context) for test in self._tests.values())
+        for test in self._tests.values():
+            if not test.hits(context):
+                return False
+        return True
 
     def extended(self, *tests: FieldTest, **exact: int) -> "Match":
         """Return a new match with additional tests added."""

@@ -409,7 +409,7 @@ class Switch:
                 raise TableError(
                     f"switch {self.node_id}: goto to missing table {table_id}"
                 )
-            context = self._context(packet, in_port, metadata)
+            context = self.match_context(packet, in_port, metadata)
             entry = table.lookup(context)
             if entry is None:
                 # Table miss with no miss entry: drop (OF 1.3 default).
@@ -453,9 +453,11 @@ class Switch:
             deliver(index, [(out.port, out.packet) for out in outputs])
 
     @staticmethod
-    def _context(
+    def match_context(
         packet: Packet, in_port: int, metadata: int
     ) -> Mapping[str, int]:
+        """What a table's matches read: the packet's fields overlaid with
+        the ``in_port`` and ``metadata`` pipeline registers."""
         context = dict(packet.fields)
         context["in_port"] = in_port
         context["metadata"] = metadata

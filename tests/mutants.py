@@ -17,6 +17,11 @@ check that must catch it:
   handshake (``tests/test_switch_faults.py``,
   ``tests/test_channel_faults.py``).  A key or digest that stops seeing a
   field makes every check downstream of it pass silently.
+* ``modelcheck`` — ``tests/test_modelcheck.py::TestCleanDeployment``: the
+  model checker's verdict on a correct deployment.  The checker runs the
+  switch's own match and action code and shares its fast-failover bucket
+  choice (``openflow.group.first_live_bucket``), so a wrong choice there
+  must turn that verdict, not only the switch's behaviour.
 
 The script first checks that every anchor occurs exactly once and that every
 killer passes on the unmutated copy, then applies each mutant alone and runs
@@ -148,6 +153,12 @@ MUTANTS = (
         '                lines.append(f"    {entry.describe()}")\n',
         "blindspots",
     ),
+    Mutant(
+        "FFORDER", "repro/openflow/group.py",
+        "    for index, bucket in enumerate(buckets):\n",
+        "    for index, bucket in reversed(list(enumerate(buckets))):\n",
+        "modelcheck",
+    ),
 )
 
 #: killer -> (command, the output line prefix that marks a real kill: a
@@ -171,6 +182,11 @@ KILLERS = {
          str(ROOT / "tests" / "test_channel_faults.py")
          + "::TestCrashResync::test_set_field_edit_is_reprogrammed"],
         "E       AssertionError: blind to ",
+    ),
+    "modelcheck": (
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         str(ROOT / "tests" / "test_modelcheck.py") + "::TestCleanDeployment"],
+        "E       AssertionError: clean deployment fails its check",
     ),
 }
 

@@ -16,16 +16,19 @@ import json
 
 import pytest
 
+from repro.analysis import modelcheck
 from repro.analysis.modelcheck import (
     INVARIANTS,
     CheckConfig,
     check_engine,
     hop_bound,
     invariant,
+    observe,
     run_check,
     scenarios_for,
 )
 from repro.analysis.replay import confirms_violation, replay_counterexample
+from repro.core.determinism import next_packet_id
 from repro.core.engine import make_engine
 from repro.core.fields import (
     FIELD_GID,
@@ -38,6 +41,7 @@ from repro.core.fields import (
 from repro.core.services.anycast import AnycastService, PriocastService
 from repro.core.services.base import PlainTraversalService
 from repro.core.services.blackhole import BlackholeService, BlackholeTtlService
+from repro.core.services.critical import CriticalNodeService
 from repro.core.services.snapshot import ChunkedSnapshotService, SnapshotService
 from repro.core.smart_counter import (
     build_counter_group,
@@ -50,6 +54,7 @@ from repro.net.simulator import Network
 from repro.net.topology import abilene, grid, ring, star
 from repro.openflow.actions import SetField
 from repro.openflow.group import GroupType
+from repro.openflow.packet import Packet
 
 
 def compiled(topology, service):
@@ -385,6 +390,129 @@ def test_abilene_snapshot_under_failures_clean():
     assert report.exit_code == 0, report.format_text(abilene())
 
 
+class TestCleanDeployment:
+    """``tests/mutants.py`` runs this class as the killer of its FFORDER
+    mutant: fast-failover bucket choice is one helper
+    (:func:`repro.openflow.group.first_live_bucket`) that the switch and
+    the checker share, so a wrong choice must show in the checker's own
+    verdict on a deployment that is otherwise correct."""
+
+    def test_snapshot_ring_checks_clean(self):
+        report = check_engine(
+            compiled(ring(4), SnapshotService()), CheckConfig(max_failures=0)
+        )
+        assert report.exit_code == 0, (
+            f"clean deployment fails its check: {report.summary()}"
+        )
+
+
+# --------------------------------------------------------------------- #
+# The checker's step is the switch's step, and leaves the switch alone  #
+# --------------------------------------------------------------------- #
+
+
+def _all_services():
+    return _service_matrix() + [
+        pytest.param(CriticalNodeService, id="critical")
+    ]
+
+
+@pytest.mark.parametrize("factory", _all_services())
+@pytest.mark.parametrize(
+    "topology", [ring(4), star(5), abilene()], ids=lambda t: t.name
+)
+def test_checker_step_equals_switch_process(topology, factory, monkeypatch):
+    """Every step a clean exploration takes, one-failure branches included,
+    emits what :meth:`Switch.process` emits for the same packet, arrival
+    port, port liveness and SELECT cursors: the same ``(port, nonzero
+    fields, stack)`` outputs in the same order."""
+    steps = {}
+    step_switch = modelcheck.step_switch
+
+    def recording_step(switch, in_port, fields, stack, port_live, cursors):
+        live = tuple(port_live(p) for p in range(1, switch.num_ports + 1))
+        key = (
+            switch.node_id, in_port, fields, stack, live,
+            tuple(sorted(cursors.items())),
+        )
+        outcome = step_switch(switch, in_port, fields, stack, port_live, cursors)
+        steps[key] = outcome
+        return outcome
+
+    monkeypatch.setattr(modelcheck, "step_switch", recording_step)
+    report = check_engine(
+        compiled(topology, factory()), CheckConfig(max_failures=1)
+    )
+    assert report.exit_code == 0, report.format_text(topology)
+    assert steps
+
+    reference = make_engine(
+        Network(topology), factory(), "compiled", fast_path=False
+    )
+    reference.install()
+    initial = {
+        (node, group.group_id): group.rr_next
+        for node, switch in reference.switches.items()
+        for group in switch.groups.groups()
+    }
+    for key, outcome in steps.items():
+        node, in_port, fields, stack, live, cursors = key
+        assert outcome.error is None
+        switch = reference.switches[node]
+        switch.set_liveness(lambda port, live=live: live[port - 1])
+        cursor = dict(cursors)
+        for group in switch.groups.groups():
+            key = (node, group.group_id)
+            group.rr_next = cursor.get(key, initial[key])
+        outputs = switch.process(Packet(dict(fields), list(stack)), in_port)
+        assert [
+            (port, observe(header), label_stack)
+            for port, header, label_stack, _alt in outcome.emissions
+        ] == [
+            (out.port, observe(out.packet.fields), tuple(out.packet.stack))
+            for out in outputs
+        ], (node, in_port, observe(dict(fields)), stack, live, cursors)
+
+
+@pytest.mark.parametrize("factory", _all_services())
+def test_check_engine_leaves_the_engine_untouched(factory):
+    """The checker reads the switches it steps and changes nothing on them:
+    no counter, cursor, program or packet id moves."""
+    engine = compiled(ring(4), factory())
+
+    def fingerprint():
+        out = []
+        for node, switch in sorted(engine.switches.items()):
+            out.append((
+                node,
+                switch.packets_processed,
+                switch.table_misses,
+                switch.inventory_digest(),
+            ))
+            out.extend(
+                (node, table_id, entry.seq, entry.packet_count)
+                for table_id, entry in switch.iter_entries()
+            )
+            out.extend(
+                (
+                    node,
+                    group.group_id,
+                    group.rr_next,
+                    group.packet_count,
+                    tuple(bucket.packet_count for bucket in group.buckets),
+                )
+                for group in switch.groups.groups()
+            )
+        return out
+
+    before = fingerprint()
+    packet_id = next_packet_id()
+    report = check_engine(engine, CheckConfig(crash=True))
+    assert report.exit_code == 0, report.format_text(ring(4))
+    assert next_packet_id() == packet_id + 1
+    assert fingerprint() == before
+
+
 # --------------------------------------------------------------------- #
 # Satellite 3: the seeded-violation matrix                              #
 # --------------------------------------------------------------------- #
@@ -658,20 +786,13 @@ class TestCrashScenarios:
             Explorer,
             ModelContext,
             Scenario,
-            StatefulStepper,
             TriggerSpec,
             active_invariants,
         )
-        from repro.analysis.symbolic import FieldWidths
         from repro.core.fields import FIELD_EPOCH
 
         topo = ring(4)
         engine = compiled(topo, SnapshotService())
-        widths = FieldWidths.for_switches(engine.switches.values())
-        steppers = {
-            n: StatefulStepper(sw, widths)
-            for n, sw in engine.switches.items()
-        }
         pre, post = CRASH_EPOCHS
         # The gate guards node 2 while the traversal roots at node 0: the
         # stale straggler reports at an unguarded origin.
@@ -687,9 +808,9 @@ class TestCrashScenarios:
             ),
             crash=(pre, post),
         )
-        ctx = ModelContext(topo, engine.service, scenario, widths)
+        ctx = ModelContext(topo, engine.service, scenario)
         explorer = Explorer(
-            steppers,
+            engine.switches,
             topo,
             scenario,
             ctx,
@@ -798,23 +919,16 @@ class TestSwitchCrashScenarios:
         from repro.analysis.modelcheck import (
             Explorer,
             ModelContext,
-            StatefulStepper,
             _switch_crash_scenarios,
             active_invariants,
         )
-        from repro.analysis.symbolic import FieldWidths
 
         topo = ring(4)
         engine = compiled(topo, SnapshotService())
-        widths = FieldWidths.for_switches(engine.switches.values())
-        steppers = {
-            n: StatefulStepper(sw, widths)
-            for n, sw in engine.switches.items()
-        }
         scenario = _switch_crash_scenarios("snapshot", 0, topo)[1]  # victim 2
-        ctx = ModelContext(topo, engine.service, scenario, widths)
+        ctx = ModelContext(topo, engine.service, scenario)
         explorer = Explorer(
-            steppers, topo, scenario, ctx,
+            engine.switches, topo, scenario, ctx,
             CheckConfig(max_failures=0), active_invariants(),
         )
         state = explorer.initial_state()
@@ -842,13 +956,11 @@ class TestMC011Fires:
             ModelContext,
             _switch_crash_scenarios,
         )
-        from repro.analysis.symbolic import FieldWidths
 
         topo = ring(4)
         engine = compiled(topo, SnapshotService())
-        widths = FieldWidths.for_switches(engine.switches.values())
         scenario = _switch_crash_scenarios("snapshot", 0, topo)[1]  # victim 2
-        ctx = ModelContext(topo, engine.service, scenario, widths)
+        ctx = ModelContext(topo, engine.service, scenario)
         fields = {
             "packets": (),
             "live": frozenset(range(topo.num_edges)),
