@@ -462,3 +462,83 @@ class TestSwitchCli:
         out_file.write_text("{}")
         with pytest.raises(SystemExit):
             cli_main(["chaos", "--replay", str(out_file)])
+
+
+def _invent_link(runtime, result, root, *args):
+    # Two ports numbered past every switch's degree: no such link exists.
+    result.links.add(frozenset({(0, 90), (1, 91)}))
+
+
+def _deliver_to_non_member(runtime, result, root, gid, groups):
+    result.delivered_at = min(
+        n for n in runtime.network.topology.nodes() if n not in groups[gid]
+    )
+
+
+def _flag_quiet_port(runtime, result, root):
+    from repro.core.services.blackhole import BlackholeVerdict
+
+    link = next(
+        link for link in runtime.network.links
+        if link.up and not any(link.dropped.values())
+    )
+    location = (link.edge.a.node, link.edge.a.port)
+    result.verdict = BlackholeVerdict(found=True, location=location)
+
+
+def _flip_verdict(runtime, result, node):
+    result.critical = not result.critical
+
+
+#: service -> (SupervisedRuntime method, falsifier of an accepted answer,
+#: the run's WRONG_RESULT reason).
+LIES = {
+    "snapshot": ("snapshot", _invent_link, "invents links"),
+    "anycast": ("anycast", _deliver_to_non_member, "non-member"),
+    "blackhole": ("detect_blackhole", _flag_quiet_port, "never dropped"),
+    "critical": ("critical", _flip_verdict, "neither pre nor post"),
+}
+
+
+class TestOraclesCatchLies:
+    """Falsify an accepted answer of the real runtime: both the campaign
+    runner and the outage preflight must call it a lie."""
+
+    @staticmethod
+    def _plant(monkeypatch, service):
+        from repro.control.supervisor import SupervisedRuntime
+
+        method, falsify, _reason = LIES[service]
+        honest = getattr(SupervisedRuntime, method)
+        lies: list[bool] = []
+
+        def lying(self, *args):
+            result = honest(self, *args)
+            if not result.degraded:
+                falsify(self, result, *args)
+                lies.append(True)
+            return result
+
+        monkeypatch.setattr(SupervisedRuntime, method, lying)
+        return lies
+
+    @pytest.mark.parametrize("service", SERVICES)
+    def test_campaign_run_records_the_lie(self, monkeypatch, service):
+        lies = self._plant(monkeypatch, service)
+        for seed in range(8):
+            record = run_one(0, service, "torus3x3", "lossy", run_seed=seed)
+            if lies:
+                break
+        assert lies, "no accepted answer to falsify"
+        assert record.outcome == WRONG_RESULT, record.reason
+        assert LIES[service][2] in record.reason
+
+    @pytest.mark.parametrize("service", SERVICES)
+    def test_outage_preflight_reports_the_lie(self, monkeypatch, service):
+        from repro.net.chaos import check_outage_liveness
+
+        lies = self._plant(monkeypatch, service)
+        problems = check_outage_liveness(0, "torus3x3")
+        assert lies, "no accepted answer to falsify"
+        assert problems
+        assert all(problem.startswith(service) for problem in problems), problems
