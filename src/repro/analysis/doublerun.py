@@ -1,23 +1,26 @@
-"""The hash-seed double-run gate: same seed, two processes, same bytes.
+"""The double-run gate: same seed, two processes, same bytes, either order.
 
 Every oracle behind the reproduction is byte-identical replay under a
 fixed seed: golden traces, chaos reports and model-check replays.  This
 gate checks that property directly.  It runs the golden-trace scenario
 matrix and one chaos campaign per fault plane in two fresh subprocesses
-under different ``PYTHONHASHSEED`` values and demands that every
-observable hashes identically.  A stray global-RNG draw, OS-entropy read,
-wall-clock read, set order or salted ``hash()`` that reaches a trace or a
-report shows up as a digest mismatch (DESIGN.md §9 has the mutant trial
+under different ``PYTHONHASHSEED`` values, the second in reverse order,
+and demands that every observable hashes identically.  A stray global-RNG
+draw, OS-entropy read, wall-clock read, set order or salted ``hash()``
+that reaches a trace or a report shows up as a digest mismatch, and so
+does state one run leaves for the next (DESIGN.md §9 has the mutant trial
 that retired the static rules for those hazards in favour of this gate;
 ``tests/mutants.py`` keeps that trial live).
 
-Each child process is ``python -m repro.analysis.doublerun --emit``: it
-prints one JSON object mapping scenario id → SHA-256 digest of the
-canonical (sorted-keys) JSON encoding of the observables, plus
-``chaos-default``/``chaos-control``/``chaos-switch`` → SHA-256 of each
-campaign report.  The parent diffs the two digest maps.  A fresh
-interpreter per seed is essential — ``PYTHONHASHSEED`` is read once at
-startup and cannot be changed in-process.
+Each child process is ``python -m repro.analysis.doublerun --emit
+--scenarios ITEMS``: it runs the JSON list *ITEMS* in the order given,
+each a ``[service, topology, profile, seed]`` scenario or a chaos plane
+name (``chaos-default``/``chaos-control``/``chaos-switch``), and prints
+one JSON object mapping scenario id or plane name → SHA-256 of the
+canonical (sorted-keys) observable JSON or of the campaign report.  The
+parent diffs the two digest maps.  A fresh interpreter per seed is
+essential — ``PYTHONHASHSEED`` is read once at startup and cannot be
+changed in-process.
 """
 
 from __future__ import annotations
@@ -54,34 +57,37 @@ def scenario_id(scenario: Scenario) -> str:
     return f"{service}-{topology}-{profile}-s{seed}"
 
 
-def scenario_digests(
-    scenarios: tuple[Scenario, ...] = GOLDEN_SCENARIOS,
-    fast_path: bool = True,
-) -> dict[str, str]:
-    """scenario id → SHA-256 of its canonical observable JSON (in-process)."""
-    digests: dict[str, str] = {}
-    for scenario in scenarios:
-        observables = run_scenario(*scenario, fast_path=fast_path)
-        canonical = json.dumps(
-            observables, sort_keys=True, separators=(",", ":"), default=str
-        )
-        digests[scenario_id(scenario)] = hashlib.sha256(
-            canonical.encode()
-        ).hexdigest()
-    return digests
+#: The chaos campaign of each fault plane, by its matrix item name.
+CHAOS_PLANES = {
+    "chaos-default": ChaosConfig,
+    "chaos-control": control_plane_config,
+    "chaos-switch": switch_plane_config,
+}
+
+#: One matrix item: a golden scenario or a chaos plane name.
+Item = Scenario | str
+
+#: The gate's matrix in forward order.
+DEFAULT_ITEMS: tuple[Item, ...] = (*GOLDEN_SCENARIOS, *CHAOS_PLANES)
 
 
-def chaos_digests() -> dict[str, str]:
-    """``chaos-<plane>`` → SHA-256 of that plane's campaign report JSON."""
-    configs = {
-        "chaos-default": ChaosConfig(runs=CHAOS_RUNS),
-        "chaos-control": control_plane_config(runs=CHAOS_RUNS),
-        "chaos-switch": switch_plane_config(runs=CHAOS_RUNS),
-    }
-    return {
-        name: hashlib.sha256(run_campaign(config).to_json().encode()).hexdigest()
-        for name, config in configs.items()
-    }
+def digests(items) -> dict[str, str]:
+    """id → SHA-256 of each item's oracle bytes, run in-process in the
+    order given: a scenario's canonical observable JSON, or a chaos
+    plane's campaign report."""
+    out: dict[str, str] = {}
+    for item in items:
+        if isinstance(item, str):
+            key = item
+            payload = run_campaign(CHAOS_PLANES[item](runs=CHAOS_RUNS)).to_json()
+        else:
+            key = scenario_id(item)
+            payload = json.dumps(
+                run_scenario(*item, fast_path=True),
+                sort_keys=True, separators=(",", ":"), default=str,
+            )
+        out[key] = hashlib.sha256(payload.encode()).hexdigest()
+    return out
 
 
 @dataclass
@@ -110,8 +116,8 @@ class DoubleRunReport:
 
     def format_text(self) -> str:
         lines = [
-            f"double-run gate: PYTHONHASHSEED {self.hash_seeds[0]} vs "
-            f"{self.hash_seeds[1]}, "
+            f"double-run gate: PYTHONHASHSEED {self.hash_seeds[0]} forward vs "
+            f"{self.hash_seeds[1]} reversed, "
             f"{len(next(iter(self.digests.values()), {}))} digest(s)"
         ]
         for scenario in self.mismatches:
@@ -137,18 +143,18 @@ def _child_env(hash_seed: int) -> dict[str, str]:
 
 
 def double_run(
-    scenarios: tuple[Scenario, ...] = GOLDEN_SCENARIOS,
+    items=DEFAULT_ITEMS,
     hash_seeds: tuple[int, int] = DEFAULT_HASH_SEEDS,
     timeout: float = 600.0,
 ) -> DoubleRunReport:
-    """Run *scenarios* and the chaos campaigns under both hash seeds in
-    subprocesses and diff."""
-    spec = json.dumps([list(s) for s in scenarios], sort_keys=True)
+    """Run *items* in two subprocesses, forward under the first hash seed
+    and reversed under the second, and diff."""
+    items = list(items)
     report = DoubleRunReport(hash_seeds=hash_seeds, digests={})
-    for hash_seed in hash_seeds:
+    for hash_seed, order in zip(hash_seeds, (items, items[::-1])):
         proc = subprocess.run(
             [sys.executable, "-m", "repro.analysis.doublerun",
-             "--emit", "--scenarios", spec],
+             "--emit", "--scenarios", json.dumps(order, sort_keys=True)],
             env=_child_env(hash_seed),
             capture_output=True,
             text=True,
@@ -179,19 +185,21 @@ def _main(argv: list[str] | None = None) -> int:
         description="double-run determinism gate (child emit mode)"
     )
     parser.add_argument("--emit", action="store_true",
-                        help="run scenarios and chaos campaigns and print "
-                        "the digest map")
+                        help="run the items in order and print the digest map")
     parser.add_argument("--scenarios", default=None,
-                        help="JSON list of [service, topology, profile, seed]")
+                        help="JSON list of items run in order: [service, "
+                        "topology, profile, seed] or a chaos plane name")
     args = parser.parse_args(argv)
-    scenarios = GOLDEN_SCENARIOS
+    items = DEFAULT_ITEMS
     if args.scenarios:
-        scenarios = tuple(tuple(item) for item in json.loads(args.scenarios))
+        items = [
+            item if isinstance(item, str) else tuple(item)
+            for item in json.loads(args.scenarios)
+        ]
     if args.emit:
-        digests = {**scenario_digests(scenarios), **chaos_digests()}
-        print(json.dumps(digests, sort_keys=True))
+        print(json.dumps(digests(items), sort_keys=True))
         return 0
-    report = double_run(scenarios)
+    report = double_run(items)
     print(report.format_text())
     return 0 if report.ok else 1
 

@@ -98,7 +98,7 @@ import itertools
 import json
 from collections import deque
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.analysis.symbolic import zero_state_names
 from repro.core.fields import (
@@ -511,7 +511,8 @@ def step_switch(
     ``(node, group_id)``, defaulting to the group's ``rr_next``), and the
     MC003 and MC006 evidence is recorded on the way.  Nothing on the switch
     moves: no entry, group or bucket counter, no ``rr_next`` and no packet
-    id (the packet is built with ``packet_id=0`` and clones likewise).
+    id (the packet is built without a network, so it and its clones carry
+    id 0).
     """
     out = StepOutcome()
     node = switch.node_id
@@ -541,10 +542,7 @@ def step_switch(
         buckets = group.buckets
         if group.group_type is GroupType.ALL:
             for bucket in buckets:
-                clone = Packet(
-                    dict(packet.fields), list(packet.stack), packet_id=0
-                )
-                run(bucket.actions, clone, None, active)
+                run(bucket.actions, packet.copy(), None, active)
         elif group.group_type is GroupType.INDIRECT:
             if buckets:
                 run(buckets[0].actions, packet, None, active)
@@ -567,7 +565,7 @@ def step_switch(
             )
             run(buckets[index].actions, packet, None, active)
 
-    packet = Packet(dict(fields), list(stack), packet_id=0)
+    packet = Packet(dict(fields), list(stack))
     metadata = 0
     table_id = 0
     try:
@@ -755,11 +753,6 @@ def observe(fields: Mapping[str, int]) -> tuple:
     fields in name order.  The checker and the simulator replay both
     judge packets by it."""
     return tuple(sorted((name, value) for name, value in fields.items() if value))
-
-
-def obs_fields(observation: tuple) -> dict[str, int]:
-    """The field dict of a report/delivery observable."""
-    return dict(observation[1])
 
 
 # --------------------------------------------------------------------- #
@@ -2100,8 +2093,3 @@ def check_engine(engine, config: CheckConfig | None = None) -> CheckReport:
     return run_check(
         switches, engine.network.topology, engine.service, config
     )
-
-
-def iter_invariants() -> Iterator[Invariant]:
-    """Registered invariants in registration order (docs / CLI listing)."""
-    return iter(INVARIANTS.values())

@@ -166,6 +166,21 @@ def _check_reachability(switch: Switch, report: VerificationReport) -> None:
         )
 
 
+def _chains_back(switch: Switch, start: int) -> bool:
+    """Whether a bucket chain from group *start* reaches *start* again (the
+    visited set ends any other loop on the way, as lint's SS007 does)."""
+    groups = switch.groups
+    seen, todo = set(), [start]
+    while todo:
+        for bucket in groups.get(todo.pop()).buckets:
+            for action in bucket.actions:
+                if isinstance(action, GroupAction) and action.group_id not in seen:
+                    seen.add(action.group_id)
+                    if action.group_id in groups:
+                        todo.append(action.group_id)
+    return start in seen
+
+
 def _check_groups(switch: Switch, report: VerificationReport) -> None:
     for group in switch.groups.groups():
         for bucket in group.buckets:
@@ -182,8 +197,8 @@ def _check_groups(switch: Switch, report: VerificationReport) -> None:
                             f"group {group.group_id} chains to missing group "
                             f"{action.group_id}"
                         )
-                    elif action.group_id == group.group_id:
-                        report.error(f"group {group.group_id} chains to itself")
+        if _chains_back(switch, group.group_id):
+            report.error(f"group {group.group_id} chains back to itself (a loop)")
         if group.group_type is GroupType.FF:
             if not group.buckets:
                 report.error(f"FF group {group.group_id} has no buckets")

@@ -117,7 +117,7 @@ class ProbeBlackholeDetector(ControllerApp):
                     continue
                 probe_count += 1
                 self._sent[probe_count] = direction
-                packet = Packet(
+                packet = network.packet(
                     fields={FIELD_PROBE: 1, FIELD_PROBE_ID: probe_count}
                 )
                 channel.packet_out_port(direction[0], direction[1], packet)

@@ -19,7 +19,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.control.controller import Controller, ControllerApp
-from repro.control.retry import DEFAULT_POLICY, RetryPolicy, sim_sleep
 from repro.net.topology import Topology
 from repro.openflow.actions import Instructions, Output
 from repro.openflow.match import Match
@@ -167,46 +166,11 @@ class ReactiveAnycastRouting(ControllerApp):
             delivered.append(node)
 
         network.set_delivery_sink(sink)
-        packet = Packet(fields={FIELD_FLOW: install.flow_id})
+        packet = network.packet({FIELD_FLOW: install.flow_id})
         network.inject(src, packet, in_port=LOCAL_PORT)
         network.run()
         network.set_delivery_sink(previous_sink)
         return delivered[0] if delivered else None
-
-    def send_with_retry(
-        self,
-        src: int,
-        gid: int,
-        install: PathInstall,
-        policy: RetryPolicy | None = None,
-    ) -> tuple[int | None, PathInstall]:
-        """Send with bounded reactive repair: on a silent failure, back
-        off, recompute against true liveness, reinstall and resend.
-
-        Returns ``(delivered_at, last install)``; ``delivered_at`` is None
-        when retries exhaust (the member really is unreachable).  A send
-        that succeeds first try costs exactly one packet, like
-        :meth:`send`.
-        """
-        controller = self.controller
-        assert controller is not None
-        policy = policy or DEFAULT_POLICY
-        policy.validate()
-        current: PathInstall | None = install
-        for index in range(policy.max_attempts):
-            if current is not None:
-                delivered = self.send(src, current)
-                if delivered is not None:
-                    return delivered, current
-            if index < policy.max_attempts - 1:
-                sim_sleep(
-                    controller.network,
-                    policy.backoff(index, controller.network.rng),
-                )
-                repaired, _messages = self.repair(src, gid)
-                if repaired is not None:
-                    current = repaired
-        return None, current if current is not None else install
 
     def repair(self, src: int, gid: int) -> tuple[PathInstall | None, int]:
         """Reactive repair after a failure: recompute against true liveness.

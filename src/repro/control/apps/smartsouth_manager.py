@@ -80,7 +80,7 @@ class SmartSouthManager(ControllerApp):
             packet_fields.update(fields)
         mark = len(self.verdicts)
         sent = controller.channel.packet_out(
-            root, Packet(fields=packet_fields), in_port=LOCAL_PORT
+            root, controller.network.packet(packet_fields), in_port=LOCAL_PORT
         )
         if not sent:
             return None

@@ -114,7 +114,7 @@ class LldpTopologyService(ControllerApp):
             for node, port in targets:
                 if (node, port) in confirmed:
                     continue
-                probe = Packet(
+                probe = network.packet(
                     fields={
                         FIELD_LLDP: 1,
                         FIELD_LLDP_SRC: node,

@@ -1,7 +1,7 @@
 """A minimal SDN controller and app model (Ryu/Floodlight-flavoured).
 
 The controller multiplexes packet-ins to its registered apps and lets apps
-send packet-outs and install per-switch handlers.  It exists to host the
+send packet-outs.  It exists to host the
 *baseline* applications the paper compares against (controller-driven
 topology discovery, probing, reactive routing); SmartSouth itself needs the
 controller only to trigger services and receive verdicts.
@@ -18,12 +18,9 @@ and each app's retry loop).
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.control.channel import ChannelFaultConfig, ControlChannel
 from repro.net.simulator import Network
 from repro.openflow.packet import Packet
-from repro.openflow.switch import Switch
 
 
 class ControllerApp:
@@ -54,7 +51,7 @@ class ControllerApp:
 
 
 class Controller:
-    """The network operating system: apps + channel + switch programming."""
+    """The network operating system: apps + channel."""
 
     def __init__(
         self, network: Network, faults: ChannelFaultConfig | None = None
@@ -109,21 +106,6 @@ class Controller:
         self.channel.restore_controller()
         for app in self.apps:
             app.restarted()
-
-    # -- switch programming ------------------------------------------------
-
-    def program_switch(self, node: int, switch: Switch) -> None:
-        """Install a rule set at *node* (only if the switch is reachable —
-        programming an unreachable switch is the failure mode the paper's
-        in-band services avoid)."""
-        if self.channel.connected(node):
-            self.network.set_handler(node, switch.process)
-
-    def program_handler(
-        self, node: int, handler: Callable[[Packet, int], list]
-    ) -> None:
-        if self.channel.connected(node):
-            self.network.set_handler(node, handler)
 
     def run(self) -> None:
         """Drain the network's event queue."""

@@ -32,7 +32,7 @@ campaigns on top of this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Mapping, Sequence
 
 from repro.core.engine import (
@@ -59,7 +59,7 @@ from repro.core.services.blackhole import (
 from repro.core.services.critical import CRITICAL, FIELD_CRITICAL, CriticalNodeService
 from repro.core.services.snapshot import SnapshotService, decode_snapshot
 from repro.control.channel import ControlChannel
-from repro.control.retry import RetryPolicy, retry_rounds
+from repro.control.retry import RetryPolicy, retry_rounds, sim_sleep
 from repro.net.simulator import Network
 from repro.net.trace import EventKind
 from repro.openflow.errors import InstallError
@@ -96,17 +96,22 @@ class SupervisorConfig:
     #: Max jitter, as a fraction of the backoff (uniform, seeded).
     jitter: float = 0.5
 
+    @property
+    def retry(self) -> RetryPolicy:
+        """The attempt budget and backoff schedule, as the one
+        :class:`RetryPolicy` every retry loop of the supervisor runs."""
+        return RetryPolicy(
+            max_attempts=self.max_attempts,
+            base_backoff=self.base_backoff,
+            backoff_factor=self.backoff_factor,
+            max_backoff=self.max_backoff,
+            jitter=self.jitter,
+        )
+
     def validate(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
+        self.retry.validate()
         if self.safety_factor < 1.0:
             raise ValueError("safety_factor must be >= 1")
-        if self.base_backoff < 0 or self.max_backoff < 0:
-            raise ValueError("backoffs must be non-negative")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be in [0, 1]")
 
 
 @dataclass
@@ -245,21 +250,6 @@ class TraversalSupervisor:
             sim.run(until=target)
         return done() if done is not None else False
 
-    def _sleep(self, duration: float) -> None:
-        """Advance simulated time (stragglers keep moving and get squashed
-        at the origin gate as they return)."""
-        sim = self.network.sim
-        target = sim.now + duration
-        sim.at(target, lambda: None)
-        sim.run(until=target)
-
-    def _backoff(self, retry_index: int) -> float:
-        cfg = self.config
-        delay = min(
-            cfg.max_backoff, cfg.base_backoff * cfg.backoff_factor**retry_index
-        )
-        return delay * (1.0 + cfg.jitter * self.network.rng.random())
-
     def _deadline(self) -> float:
         return watchdog_deadline(
             self.service.name,
@@ -279,7 +269,7 @@ class TraversalSupervisor:
         (origin disconnected from the controller)."""
         packet_fields = {FIELD_SVC: self.service.service_id}
         packet_fields.update(fields)
-        packet = Packet(fields=packet_fields)
+        packet = self.network.packet(packet_fields)
         if from_controller and self.channel is not None:
             if not self.channel.packet_out(root, packet, in_port=LOCAL_PORT):
                 return None
@@ -326,7 +316,8 @@ class TraversalSupervisor:
             reason="retries-exhausted",
         )
         deadline = self._deadline()
-        for attempt_index in range(self.config.max_attempts):
+        policy = self.config.retry
+        for attempt_index in range(policy.max_attempts):
             if fresh_engine and attempt_index:
                 self.engine = make_engine(self.network, self.service, self.mode)
             attempt, result = self._attempt(
@@ -339,8 +330,12 @@ class TraversalSupervisor:
                 outcome.reason = "completed"
                 outcome.result = result
                 return outcome
-            if attempt_index < self.config.max_attempts - 1:
-                self._sleep(self._backoff(attempt_index))
+            if attempt_index < policy.max_attempts - 1:
+                # Stragglers keep moving while the clock advances and get
+                # squashed at the origin gate as they return.
+                sim_sleep(
+                    self.network, policy.backoff(attempt_index, self.network.rng)
+                )
 
         outcome.degraded = True
         if all(a.outcome == PACKET_OUT_LOST for a in outcome.attempts):
@@ -905,16 +900,9 @@ class SupervisedRuntime:
             report.dark_nodes = sets[READOPT_DARK]
             report.drifted_nodes = sets[READOPT_FAILED]
 
-        policy = RetryPolicy(
-            max_attempts=max_rounds,
-            base_backoff=self.config.base_backoff,
-            backoff_factor=self.config.backoff_factor,
-            max_backoff=self.config.max_backoff,
-            jitter=self.config.jitter,
-        )
         report.rounds = retry_rounds(
             self.network,
-            policy,
+            replace(self.config.retry, max_attempts=max_rounds),
             sweep,
             lambda: len(report.drifted_nodes),
             stop_on_no_progress=False,

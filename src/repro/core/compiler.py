@@ -238,11 +238,6 @@ class Codegen:
             piece = self.plans[key] = build()
             return piece
 
-    def alloc_group(self) -> int:
-        gid = self._next_group
-        self._next_group += 1
-        return gid
-
     def counter_group_id(self, port: int) -> int:
         """The (relocated) smart-counter group id for *port*."""
         return self.group_base + COUNTER_GROUP_BASE + port

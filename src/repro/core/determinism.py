@@ -4,7 +4,7 @@ Every pillar of the reproduction — golden traces, counterexample replay,
 seeded chaos, the fast-path differential suite — rests on runs being
 bit-for-bit deterministic: a rerun with the same seed must produce the
 same bytes, in a fresh process or beside other engines in this one.  So
-randomness and time are centralized here:
+randomness, time and packet ids are centralized here:
 
 * **Randomness** comes only from :func:`seeded_rng`: a fresh
   ``random.Random`` with an explicit seed — never the process-global RNG,
@@ -13,11 +13,16 @@ randomness and time are centralized here:
   packet-step logical clock (``network.packet_steps``); wall-clock reads
   are confined to :func:`wall_clock`, which exists for benchmark harnesses
   and must never feed a trace, result payload, or seed.
+* **Packet ids** come from a :class:`PacketIdAllocator` that each network
+  owns, never from process state, so a run's ids do not depend on what
+  ran before it in the process.
 
 Two guards hold this split (DESIGN.md §9): ruff's ``S311`` (pseudo-random
 generators) and ``DTZ`` (naive datetimes) flag direct use statically, and
 the double-run gate (:mod:`repro.analysis.doublerun`) catches any draw or
-clock read that reaches a golden trace or chaos report.
+clock read that reaches a golden trace or chaos report, and, by running
+its matrix in reverse order in the second process, any state one run
+leaks into the next.
 """
 
 from __future__ import annotations
@@ -45,49 +50,39 @@ def seeded_rng(seed: int) -> Rng:
 
 
 class PacketIdAllocator:
-    """Sequential id allocation behind an owned object, not a module global.
+    """Sequential packet ids for one network, starting at 1.
 
-    Packet ids are bookkeeping, never matched on — but they appear in
-    traces, so byte-identical replay needs a resettable, deterministic
-    source.  Owning the cursor as instance state (instead of rebinding a
-    module-level ``itertools.count``) keeps the mutation inside one object.
-    The process shares one instance (:data:`_PACKET_IDS`), so ids are
-    global allocation order: two engines in one process draw from the same
-    sequence, and a run that must replay byte-identically calls
-    :func:`reset_packet_ids` first.
+    Packet ids are bookkeeping, never matched on, but they appear in
+    traces, so byte-identical replay needs a deterministic source.  Each
+    :class:`~repro.net.simulator.Network` owns one (``network.ids``, beside
+    ``network.rng``), and every clone draws from its root packet's
+    allocator, so a run's ids depend on that run alone: two networks in
+    one process, their runs interleaved in any order, each trace the ids
+    they would alone.
     """
 
-    def __init__(self, start: int = 1) -> None:
-        self._next = start
+    def __init__(self) -> None:
+        self._next = 1
 
     def allocate(self) -> int:
-        """Hand out the next id (sequential from the configured start)."""
+        """Hand out the next id."""
         value = self._next
         self._next = value + 1
         return value
 
-    def reset(self, start: int = 1) -> None:
-        """Restart the sequence (test/bench support for golden traces)."""
-        self._next = start
 
+class NullIds:
+    """The id source of a packet built without a network: always 0.
 
-#: The process-wide allocator instance behind :func:`next_packet_id`.
-_PACKET_IDS = PacketIdAllocator()
-
-
-def next_packet_id() -> int:
-    """Allocate the next packet id (the provider seam traces rely on)."""
-    return _PACKET_IDS.allocate()
-
-
-def reset_packet_ids(start: int = 1) -> None:
-    """Restart the packet-id sequence at *start*.
-
-    Runs that must produce byte-identical traces (the fast-path
-    differential suite, the golden-trace corpus, chaos campaigns) call
-    this before each scenario.
+    Stateless, so the one shared instance (:data:`NULL_IDS`) carries
+    no state between runs.
     """
-    _PACKET_IDS.reset(start)
+
+    def allocate(self) -> int:
+        return 0
+
+
+NULL_IDS = NullIds()
 
 
 def wall_clock() -> float:

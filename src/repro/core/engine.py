@@ -130,7 +130,7 @@ class _BaseEngine:
         packet_fields = {FIELD_SVC: self.service.service_id}
         if fields:
             packet_fields.update(fields)
-        packet = Packet(fields=packet_fields, payload=payload)
+        packet = self.network.packet(packet_fields, payload=payload)
 
         trace = self.network.trace
         mark_reports = len(self.reports)
@@ -326,7 +326,7 @@ class MultiServiceEngine:
         packet_fields = {FIELD_SVC: service_id}
         if fields:
             packet_fields.update(fields)
-        packet = Packet(fields=packet_fields)
+        packet = self.network.packet(packet_fields)
 
         trace = self.network.trace
         mark_reports = len(self.reports)

@@ -156,9 +156,6 @@ class TagLayout:
     def slot(self, name: str) -> FieldSlot:
         return self._slots[name]
 
-    def has_field(self, name: str) -> bool:
-        return name in self._slots
-
     def pack(self, fields: Mapping[str, int]) -> int:
         """Pack a field mapping into a single integer header."""
         header = 0

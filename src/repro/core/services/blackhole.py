@@ -497,7 +497,7 @@ class PacketLossMonitor:
         for edge in network.topology.edges():
             for endpoint in (edge.a, edge.b):
                 for _ in range(packets_per_direction):
-                    packet = Packet(fields={FIELD_DATA_OUT: endpoint.port})
+                    packet = network.packet({FIELD_DATA_OUT: endpoint.port})
                     network.inject(endpoint.node, packet)
         network.run()
 

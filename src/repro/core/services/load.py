@@ -29,7 +29,7 @@ from repro.net.simulator import Network
 
 if TYPE_CHECKING:
     from repro.core.engine import _BaseEngine
-from repro.openflow.packet import CONTROLLER_PORT, Packet
+from repro.openflow.packet import CONTROLLER_PORT
 from repro.core.fields import FIELD_SVC
 
 
@@ -135,7 +135,7 @@ class LoadMonitor:
             if network.topology.port_edge(node, port) is None:
                 raise ValueError(f"({node}, {port}) is not a connected port")
             for _ in range(count):
-                packet = Packet(fields={FIELD_SVC: 0, "data_out": port})
+                packet = network.packet({FIELD_SVC: 0, "data_out": port})
                 network.inject(node, packet)
         network.run()
         for link, old in zip(network.links, before):

@@ -22,9 +22,9 @@ Three consumers share this module:
 
 Determinism notes:
 
-* Packet ids are global allocation order, so every run starts with
-  :func:`~repro.openflow.packet.reset_packet_ids` — identical behaviour
-  then yields identical ids, and they are compared, not masked.
+* Packet ids come from the scenario's own network (``network.ids``), so
+  identical behaviour yields identical ids whatever ran before in the
+  process; they are compared, not masked.
 * Fault plans draw from a seed-derived RNG (the chaos harness's
   ``_plan_faults``); the same seed produces the same plan everywhere.
 * Link loss/jitter draws come from the network's own seeded RNG *during*
@@ -47,7 +47,6 @@ from repro.core.services.blackhole import (
 from repro.core.services.snapshot import SnapshotService
 from repro.net.chaos import PROFILES, TOPOLOGIES, _plan_faults
 from repro.net.simulator import Network
-from repro.openflow.packet import reset_packet_ids
 
 #: The services the differential matrix covers (the paper's case studies
 #: plus priocast, which exercises SELECT groups hardest).
@@ -203,7 +202,6 @@ def run_scenario(
     (grouped same-time arrivals, batched fast-path dispatch); the
     observable dict is required to be byte-identical either way.
     """
-    reset_packet_ids()
     storm = service_name.endswith("-storm")
     topology = TOPOLOGIES[topology_name]()
     network = Network(topology, seed=seed, fast_path=fast_path, batch=batch)

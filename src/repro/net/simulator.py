@@ -33,7 +33,7 @@ from __future__ import annotations
 import heapq
 from typing import Callable, Iterable
 
-from repro.core.determinism import seeded_rng
+from repro.core.determinism import PacketIdAllocator, seeded_rng
 from repro.net.link import Link
 from repro.net.topology import Topology
 from repro.net.trace import EventKind, Trace, TraceEvent
@@ -223,6 +223,10 @@ class Network:
     whenever a node has no batch handler, a segment is a single packet, or
     a non-passive sink is attached (a controller channel that reprograms
     switches synchronously).
+
+    A network owns its run's two determinism sources: ``rng`` (seeded by
+    *seed*) for link draws and ``ids`` for packet ids, so two networks
+    built alike trace the same whatever else runs in the process.
     """
 
     def __init__(
@@ -241,6 +245,7 @@ class Network:
         self.sim.run_handler = self._arrive_run
         self.trace = Trace()
         self.rng = seeded_rng(seed)
+        self.ids = PacketIdAllocator()
         self._handlers: dict[int, Handler] = {}
         self._drains: dict[int, DrainFn] = {}
         self._batch_handlers: dict[int, BatchHandler] = {}
@@ -261,6 +266,14 @@ class Network:
         #: way wall-clock scheduling is not.
         self.packet_steps = 0
         self._step_hooks: dict[int, list[Callable[[], None]]] = {}
+
+    def packet(self, fields=None, stack=None, payload=None) -> Packet:
+        """A root packet with this network's next id; its copies draw from
+        the same allocator."""
+        ids = self.ids
+        fields = {} if fields is None else fields
+        stack = [] if stack is None else stack
+        return Packet(fields, stack, payload, ids.allocate(), ids=ids)
 
     # ------------------------------------------------------------------ #
     # Wiring                                                             #

@@ -10,8 +10,12 @@ A packet carries
   header sizes can be measured.
 * a *label stack* — an MPLS-like stack of small tuples, used by the snapshot
   service to accumulate topology records with push/pop actions.
-* an opaque *payload* plus bookkeeping (a unique id and a hop counter used by
+* an opaque *payload* plus bookkeeping (an id and a hop counter used by
   traces only, never matched on).
+
+Ids come from the packet's network (:meth:`repro.net.simulator.Network.packet`);
+a copy draws from its parent's source.  A packet built without a network
+carries id 0, and so do its copies.
 
 Reserved port numbers follow the OpenFlow convention but use negative values
 so they can never collide with physical port numbers (which are 1-based;
@@ -23,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.determinism import next_packet_id, reset_packet_ids
+from repro.core.determinism import NULL_IDS, NullIds, PacketIdAllocator
 
 #: Reserved port: send the packet to the controller (out-of-band upcall).
 CONTROLLER_PORT = -1
@@ -42,9 +46,6 @@ _RESERVED_PORT_NAMES = {
     NO_PORT: "NONE",
 }
 
-# Packet-id allocation lives in the determinism provider (an owned
-# allocator object, not a module global); ``reset_packet_ids`` is re-exported here
-# because tests and benches historically import it from this module.
 __all__ = [
     "CONTROLLER_PORT",
     "IN_PORT",
@@ -53,7 +54,6 @@ __all__ = [
     "Packet",
     "is_physical_port",
     "port_name",
-    "reset_packet_ids",
 ]
 
 
@@ -67,7 +67,7 @@ def is_physical_port(port: int) -> bool:
     return port >= 1
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """A mutable packet instance flowing through the data plane.
 
@@ -80,8 +80,12 @@ class Packet:
     fields: dict[str, int] = field(default_factory=dict)
     stack: list[tuple[Any, ...]] = field(default_factory=list)
     payload: Any = None
-    packet_id: int = field(default_factory=next_packet_id)
+    packet_id: int = 0
     hops: int = 0
+    #: Where copies draw their ids: the network's allocator, or null (0).
+    ids: PacketIdAllocator | NullIds = field(
+        default=NULL_IDS, compare=False, repr=False
+    )
 
     def get(self, name: str) -> int:
         """Return the value of header field *name* (0 if unset)."""
@@ -104,17 +108,20 @@ class Packet:
         return self.stack.pop()
 
     def copy(self) -> "Packet":
-        """Return an independent copy with a fresh packet id.
+        """Return an independent copy with the next id from this packet's
+        id source.
 
-        Used by ``ALL`` groups and by the simulator when a packet is cloned
-        to the controller.
+        Every emission clones, so this skips the generated ``__init__``.
         """
-        return Packet(
-            fields=dict(self.fields),
-            stack=list(self.stack),
-            payload=self.payload,
-            hops=self.hops,
-        )
+        clone = Packet.__new__(Packet)
+        clone.fields = dict(self.fields)
+        clone.stack = list(self.stack)
+        clone.payload = self.payload
+        ids = self.ids
+        clone.packet_id = ids.allocate()
+        clone.hops = self.hops
+        clone.ids = ids
+        return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         shown = {k: v for k, v in sorted(self.fields.items()) if v}

@@ -6,8 +6,9 @@ check that must catch it:
 
 * ``doublerun`` — ``python -m repro.analysis.doublerun``: golden scenarios
   and one chaos campaign per fault plane, run in two processes under
-  different ``PYTHONHASHSEED`` values, digests compared.  It retired the
-  static rules DET001/002/003/005/007 (DESIGN.md §9).
+  different ``PYTHONHASHSEED`` values, the second in reverse order, digests
+  compared.  It retired the static rules DET001/002/003/005/007 (DESIGN.md
+  §9); the RACE mutants survive even the reversed order.
 * ``hazards`` — ``tests/test_source_hazards.py``: the four AST checks that
   survive because their hazards replay identically until some other change
   exposes them.

@@ -150,10 +150,8 @@ def test_storms_produce_multi_packet_batches():
     from repro.net.scenario import _PLAN_SALT, _build_storm
     from repro.net.simulator import Network
     from repro.core.determinism import seeded_rng
-    from repro.openflow.packet import reset_packet_ids
 
     service_name, topology_name, profile_name, seed = STORM_MATRIX[0]
-    reset_packet_ids()
     topology = TOPOLOGIES[topology_name]()
     network = Network(topology, seed=seed, fast_path=True, batch=True)
     plan_rng = seeded_rng(seed ^ _PLAN_SALT)
@@ -194,9 +192,7 @@ def _crash_root_mid_segment(batch: bool):
     from repro.core.services.snapshot import SnapshotService
     from repro.net.simulator import Network
     from repro.net.topology import fat_tree
-    from repro.openflow.packet import reset_packet_ids
 
-    reset_packet_ids()
     network = Network(fat_tree(4), fast_path=True, batch=batch)
     engine = make_engine(
         network, SnapshotService(), "compiled", fast_path=True, batch=batch

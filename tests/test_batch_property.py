@@ -28,10 +28,11 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.determinism import PacketIdAllocator
 from repro.openflow.actions import GroupAction, Instructions, Output, SetField
 from repro.openflow.group import Bucket, Group, GroupType
 from repro.openflow.match import FieldTest, Match
-from repro.openflow.packet import Packet, reset_packet_ids
+from repro.openflow.packet import Packet
 from repro.openflow.switch import Switch
 
 #: Small value domain so random packets collide with match values often.
@@ -155,11 +156,12 @@ def _counters(switch: Switch):
 
 def _make_items(population):
     """All input packets are constructed before any is processed — the
-    event queue holds fully-built packets in both drain modes, so packet-id
-    allocation bases match and emitted-copy ids are comparable."""
-    reset_packet_ids()
+    event queue holds fully-built packets in both drain modes — from one
+    fresh allocator per run, so emitted-copy ids are comparable."""
+    ids = PacketIdAllocator()
     return [
-        (Packet(fields=dict(fields)), in_port) for fields, in_port in population
+        (Packet(fields=dict(fields), packet_id=ids.allocate(), ids=ids), in_port)
+        for fields, in_port in population
     ]
 
 

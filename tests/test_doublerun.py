@@ -6,11 +6,11 @@ import sys
 import pytest
 
 from repro.analysis.doublerun import (
+    CHAOS_PLANES,
     DEFAULT_HASH_SEEDS,
     DoubleRunReport,
-    chaos_digests,
+    digests,
     double_run,
-    scenario_digests,
     _child_env,
 )
 from repro.net.scenario import GOLDEN_SCENARIOS
@@ -25,30 +25,38 @@ CHAOS_KEYS = {"chaos-default", "chaos-control", "chaos-switch"}
 @pytest.fixture(scope="module")
 def in_process():
     """The digest map a child emits, computed in this process."""
-    return {**scenario_digests(SMALL), **chaos_digests()}
+    return digests([*SMALL, *CHAOS_PLANES])
 
 
 @pytest.fixture(scope="module")
 def report():
-    """One gate run over SMALL plus the chaos planes (two children)."""
-    return double_run(scenarios=SMALL)
+    """One gate run over SMALL plus the chaos planes (two children, the
+    second in reverse order)."""
+    return double_run([*SMALL, *CHAOS_PLANES])
 
 
 def test_digests_are_stable_in_process():
-    assert scenario_digests(SMALL) == scenario_digests(SMALL)
+    assert digests(SMALL) == digests(SMALL)
 
 
 def test_chaos_digests_cover_every_plane_and_are_stable_in_process(in_process):
-    digests = chaos_digests()
-    assert set(digests) == CHAOS_KEYS
-    assert all(len(digest) == 64 for digest in digests.values())
-    assert digests.items() <= in_process.items()
+    planes = digests(CHAOS_PLANES)
+    assert set(planes) == CHAOS_KEYS
+    assert all(len(digest) == 64 for digest in planes.values())
+    assert planes.items() <= in_process.items()
+
+
+def test_digests_do_not_depend_on_run_order():
+    # The reversed child's property, in one process: no run leaves state
+    # behind that changes the next one's bytes.
+    items = [*GOLDEN_SCENARIOS[:2], "chaos-default"]
+    assert digests(items) == digests(items[::-1])
 
 
 def test_digest_covers_every_scenario():
-    digests = scenario_digests(SMALL)
-    assert len(digests) == len(SMALL)
-    for digest in digests.values():
+    scenarios = digests(SMALL)
+    assert len(scenarios) == len(SMALL)
+    for digest in scenarios.values():
         assert len(digest) == 64  # SHA-256 hex
 
 
@@ -82,7 +90,7 @@ def test_module_entry_point_imports_cleanly():
 def test_child_emit_mode_prints_digest_map(report, in_process):
     # Each child's parsed `--emit` output: the golden scenarios plus the
     # three chaos planes, byte-for-byte the digests of this process.
-    assert set(in_process) == set(scenario_digests(SMALL)) | CHAOS_KEYS
+    assert set(in_process) == set(digests(SMALL)) | CHAOS_KEYS
     for seed in DEFAULT_HASH_SEEDS:
         assert report.digests[seed] == in_process
 

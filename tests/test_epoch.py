@@ -54,7 +54,7 @@ class TestEpochGate:
         service.epoch_gate = EpochGate(origin=0, epoch=2)
 
         # Stale epoch at the origin: dropped on the floor, counted.
-        stale = Packet(fields={FIELD_EPOCH: 1})
+        stale = net.packet({FIELD_EPOCH: 1})
         assert interpreter.process(0, stale, LOCAL_PORT) == []
         assert service.epoch_gate.squashed == 1
         assert service.epoch_gate.squashed_packets == [stale.packet_id]

@@ -22,12 +22,13 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.determinism import PacketIdAllocator
 from repro.openflow.actions import DecTtl, GroupAction, Instructions, Output, SetField
 from repro.openflow.fastpath import compile_table
 from repro.openflow.flowtable import FlowEntry, FlowTable
 from repro.openflow.group import Bucket, Group, GroupType
 from repro.openflow.match import FieldTest, Match
-from repro.openflow.packet import IN_PORT, Packet, reset_packet_ids
+from repro.openflow.packet import IN_PORT, Packet
 from repro.openflow.switch import Switch
 
 #: Small value domain so random contexts collide with match values often —
@@ -253,7 +254,7 @@ def _run_cached(spine, rules, ops, fast: bool):
     *spine* holds the actions of a priority-0 catch-all per table, chained
     0 -> 1 -> 2, so every packet runs a deep chain whose non-final steps
     are as often unsafe as not; *rules* are layered on top."""
-    reset_packet_ids()
+    ids = PacketIdAllocator()
     live = {1: True, 2: True}
     switch = Switch(
         node_id=0, num_ports=3, liveness=lambda p: live.get(p, True), fast_path=fast
@@ -284,7 +285,7 @@ def _run_cached(spine, rules, ops, fast: bool):
     for op in ops:
         if op[0] == "packet":
             fields, in_port, _metadata = op[1]
-            packet = Packet(fields=dict(fields))
+            packet = Packet(fields=dict(fields), packet_id=ids.allocate(), ids=ids)
             try:
                 if fast:
                     drain(packet, in_port)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.determinism import PacketIdAllocator
 from repro.openflow.actions import (
     DecTtl,
     GroupAction,
@@ -24,7 +25,7 @@ from repro.openflow.errors import GroupError
 from repro.openflow.fastpath import FastTable
 from repro.openflow.group import Bucket, Group, GroupType
 from repro.openflow.match import Match
-from repro.openflow.packet import Packet, reset_packet_ids
+from repro.openflow.packet import Packet
 from repro.openflow.switch import Switch
 
 
@@ -355,7 +356,6 @@ class TestFirstHitClosures:
         every later packet replays that chain.  The recorded steps must
         carry the real ops (not the spent placeholder), and the final-hop
         copy elision must draw packet ids exactly as the scalar path."""
-        from repro.openflow.packet import reset_packet_ids
 
         def build():
             switch = _switch()
@@ -372,9 +372,12 @@ class TestFirstHitClosures:
             return switch
 
         def arrivals():
-            return [(Packet(fields={"a": 1}), 1) for _ in range(5)]
+            ids = PacketIdAllocator()
+            return [
+                (Packet(fields={"a": 1}, packet_id=ids.allocate(), ids=ids), 1)
+                for _ in range(5)
+            ]
 
-        reset_packet_ids()
         scalar = build()
         expected = [
             [(o.port, sorted(o.packet.fields.items()), o.packet.packet_id)
@@ -382,7 +385,6 @@ class TestFirstHitClosures:
             for packet, port in arrivals()
         ]
 
-        reset_packet_ids()
         batched = build()
         observed = [None] * 5
 
@@ -566,12 +568,12 @@ class TestChainCache:
         drawn."""
 
         def run(step):
-            reset_packet_ids()
+            ids = PacketIdAllocator()
             switch = _ff_switch({})
             seen = []
             drain, emitted = _drain(switch)
             for _ in range(4):
-                packet = Packet(fields={"a": 1})
+                packet = Packet(fields={"a": 1}, packet_id=ids.allocate(), ids=ids)
                 if step == "drain":
                     drain(packet, 3)
                     seen.append(emitted[-1][1])

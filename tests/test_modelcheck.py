@@ -28,7 +28,6 @@ from repro.analysis.modelcheck import (
     scenarios_for,
 )
 from repro.analysis.replay import confirms_violation, replay_counterexample
-from repro.core.determinism import next_packet_id
 from repro.core.engine import make_engine
 from repro.core.fields import (
     FIELD_GID,
@@ -506,10 +505,11 @@ def test_check_engine_leaves_the_engine_untouched(factory):
         return out
 
     before = fingerprint()
-    packet_id = next_packet_id()
+    ids = engine.network.ids
+    packet_id = ids.allocate()
     report = check_engine(engine, CheckConfig(crash=True))
     assert report.exit_code == 0, report.format_text(ring(4))
-    assert next_packet_id() == packet_id + 1
+    assert ids.allocate() == packet_id + 1
     assert fingerprint() == before
 
 

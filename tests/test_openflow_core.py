@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.determinism import seeded_rng
+from repro.core.determinism import PacketIdAllocator, seeded_rng
 from repro.openflow.actions import (
     DecTtl,
     Instructions,
@@ -57,8 +57,13 @@ class TestPacket:
         assert packet.stack == [("r",)]
 
     def test_copy_gets_fresh_id(self):
+        ids = PacketIdAllocator()
+        packet = Packet(packet_id=ids.allocate(), ids=ids)
+        assert (packet.packet_id, packet.copy().packet_id) == (1, 2)
+
+    def test_packet_without_network_carries_id_zero(self):
         packet = Packet()
-        assert packet.copy().packet_id != packet.packet_id
+        assert (packet.packet_id, packet.copy().packet_id) == (0, 0)
 
 
 class TestActions:

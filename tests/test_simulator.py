@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.runtime import SmartSouthRuntime
 from repro.net.link import Direction, Link
 from repro.net.simulator import Network, SimulationLimitError, Simulator
 from repro.net.topology import Topology, line, ring
@@ -12,7 +13,6 @@ from repro.openflow.packet import (
     CONTROLLER_PORT,
     LOCAL_PORT,
     Packet,
-    reset_packet_ids,
 )
 from repro.openflow.switch import PacketOut
 
@@ -210,6 +210,35 @@ class TestNetworkMotion:
         assert len(net.live_port_pairs()) == 3
 
 
+class TestPacketIds:
+    """Each network hands out its own packet ids, so a run's trace does not
+    depend on what else ran in the process."""
+
+    @staticmethod
+    def _runtime():
+        net = Network(ring(4), fast_path=True)
+        return net, SmartSouthRuntime(net, mode="compiled")
+
+    def test_interleaved_networks_each_trace_as_alone(self):
+        alone_net, alone = self._runtime()
+        for root in (0, 1):
+            alone.snapshot(root)
+        nets, runtimes = zip(*(self._runtime() for _ in range(2)))
+        for root in (0, 1):
+            for runtime in runtimes:
+                runtime.snapshot(root)
+        expected = alone_net.trace.to_jsonl()
+        assert [net.trace.to_jsonl() for net in nets] == [expected, expected]
+
+    def test_ids_start_at_one_and_copies_draw_from_the_network(self):
+        net = Network(ring(3))
+        first, second = net.packet(), net.packet({"x": 1})
+        assert (first.packet_id, second.packet_id, first.copy().packet_id) == (
+            1, 2, 3
+        )
+        assert net.ids.allocate() == 4
+
+
 class TestEventBudget:
     """``max_events`` counts every arrival and timer identically in both
     drain modes — a batched run of *n* arrivals consumes *n* of the budget,
@@ -219,7 +248,6 @@ class TestEventBudget:
         """Ring of forwarders with several concurrent packets: every node
         bounces each arrival out port 1 forever, so the run only ends when
         the event budget does."""
-        reset_packet_ids()
         net = Network(ring(3), batch=batch)
 
         def forward_batch(items, deliver):
@@ -231,7 +259,7 @@ class TestEventBudget:
             if batch:
                 net.set_batch_handler(node, forward_batch)
         for _ in range(6):
-            net.inject(0, Packet())
+            net.inject(0, net.packet())
         with pytest.raises(SimulationLimitError):
             net.run(max_events=max_events)
         return net
@@ -249,7 +277,6 @@ class TestEventBudget:
     def test_budget_counts_arrivals_not_batches(self):
         # 6 same-time arrivals form one batch; if the batch consumed one
         # budget unit instead of six, this run would survive max_events=6.
-        reset_packet_ids()
         net = Network(ring(3), batch=True)
 
         def forward_batch(items, deliver):
@@ -260,7 +287,7 @@ class TestEventBudget:
             net.set_handler(node, lambda p, i: [PacketOut(1, p)])
             net.set_batch_handler(node, forward_batch)
         for _ in range(6):
-            net.inject(0, Packet())
+            net.inject(0, net.packet())
         with pytest.raises(SimulationLimitError):
             net.run(max_events=6)
 

@@ -2,10 +2,11 @@
 
 The double-run gate (``python -m repro.analysis.doublerun``) checks the
 reproduction's oracle directly: same seed, two processes under different
-``PYTHONHASHSEED`` values, byte-identical golden traces and chaos reports.
-Planting one mutant per hazard (``tests/mutants.py``, DESIGN.md §9) showed
-that four hazards slip past it, because each is deterministic today and
-only breaks replay after an innocent-looking change elsewhere:
+``PYTHONHASHSEED`` values, the second in reverse order, byte-identical
+golden traces and chaos reports.  Planting one mutant per hazard
+(``tests/mutants.py``, DESIGN.md §9) showed that four hazards slip past
+it, because each is deterministic today and only breaks replay after an
+innocent-looking change elsewhere:
 
 * DET004 — ``json.dump``/``json.dumps`` without ``sort_keys=True``: the
   bytes follow dict insertion order, which a refactor silently changes.

@@ -103,8 +103,9 @@ class TestRetryPath:
         net_b = Network(ring(4), seed=9)
         sup_a = TraversalSupervisor(net_a, SnapshotService())
         sup_b = TraversalSupervisor(net_b, SnapshotService())
-        delays_a = [sup_a._backoff(i) for i in range(4)]
-        delays_b = [sup_b._backoff(i) for i in range(4)]
+        policy_a, policy_b = sup_a.config.retry, sup_b.config.retry
+        delays_a = [policy_a.backoff(i, net_a.rng) for i in range(4)]
+        delays_b = [policy_b.backoff(i, net_b.rng) for i in range(4)]
         assert delays_a == delays_b  # same network seed, same jitter
         bare = [sup_a.config.base_backoff * sup_a.config.backoff_factor**i
                 for i in range(4)]

@@ -29,12 +29,13 @@ import hashlib
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.determinism import PacketIdAllocator
 from repro.openflow.actions import GroupAction, Instructions, Output, SetField
 from repro.openflow.errors import InstallError, OpenFlowError, TableFullError
 from repro.openflow.flowtable import FlowEntry
 from repro.openflow.group import Bucket, Group, GroupType
 from repro.openflow.match import Match
-from repro.openflow.packet import Packet, reset_packet_ids
+from repro.openflow.packet import Packet
 from repro.openflow.switch import Switch, SwitchFaultConfig
 
 VALUES = st.integers(0, 7)
@@ -211,9 +212,10 @@ def test_adopted_program_agrees_scalar_vs_batch(program, seed, population):
     _, scalar_switch = _adopt_until_converged(True, expected, 1.0, 2, seed)
     _, batched_switch = _adopt_until_converged(True, expected, 1.0, 2, seed)
 
-    reset_packet_ids()
+    ids = PacketIdAllocator()
     scalar_items = [
-        (Packet(fields=dict(fields)), port) for fields, port in population
+        (Packet(fields=dict(fields), packet_id=ids.allocate(), ids=ids), port)
+        for fields, port in population
     ]
     scalar_out = [
         [
@@ -223,9 +225,10 @@ def test_adopted_program_agrees_scalar_vs_batch(program, seed, population):
         for packet, port in scalar_items
     ]
 
-    reset_packet_ids()
+    ids = PacketIdAllocator()
     batched_items = [
-        (Packet(fields=dict(fields)), port) for fields, port in population
+        (Packet(fields=dict(fields), packet_id=ids.allocate(), ids=ids), port)
+        for fields, port in population
     ]
     batched_out = [None] * len(batched_items)
 

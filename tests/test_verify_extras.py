@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pytest
 
 from repro.analysis.verify import verify_switch
 from repro.core.compiler import compile_service, compile_services
@@ -60,6 +61,29 @@ class TestReachability:
         report = verify_switch(switch)
         assert report.ok, report.errors
         assert not report.warnings, report.warnings
+
+
+class TestGroupLoops:
+    @pytest.mark.parametrize("chain", [[901], [901, 902]])
+    def test_chaining_loop_is_an_error(self, chain):
+        # GroupTable.add accepts buckets that chain back to an earlier
+        # group; every group on the loop is an error, however long it is.
+        switch = compile_service(Network(ring(4)), 0, SnapshotService())
+        for gid, target in zip(chain, chain[1:] + chain[:1]):
+            switch.add_group(
+                Group(gid, GroupType.INDIRECT, [Bucket([GroupAction(target)])])
+            )
+        switch.install(
+            0, Match(chain_test=1),
+            Instructions(apply_actions=(GroupAction(901),)), priority=99,
+            cookie="seed:group-loop",
+        )
+        report = verify_switch(switch)
+        for gid in chain:
+            assert any(
+                f"group {gid} chains" in error and "itself" in error
+                for error in report.errors
+            ), report.errors
 
 
 class TestMultiServiceCoverage:
