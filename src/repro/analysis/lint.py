@@ -29,6 +29,7 @@ from repro.analysis.symbolic import (
     DEFAULT_WALK_BUDGET,
     FieldWidths,
     SwitchAnalyzer,
+    TransferMemo,
     WalkResult,
     local_shape,
     walk_network,
@@ -243,13 +244,13 @@ class LintContext:
         self.config = config or LintConfig()
         self.widths = FieldWidths.for_switches(self.switches.values())
         self._local_analyzers: dict[int, SwitchAnalyzer] = {}
-        self._walk_analyzers: dict[int, SwitchAnalyzer] | None = None
         self._shapes: dict[int, tuple] = {}
         #: shape key -> fact, one dict per local analysis.
         self._reached: dict[tuple, frozenset[tuple[int, int]]] = {}
         self._shadows: dict[tuple, list[tuple[int, int, list[str]]]] = {}
         self._overlaps: dict[tuple, list[tuple[int, int, int, int]]] = {}
         self._walks: dict[int, list[WalkResult]] | None = None
+        self.transfers = TransferMemo()
 
     def nodes(self) -> list[int]:
         return sorted(self.switches)
@@ -329,28 +330,26 @@ class LintContext:
     def walks(self) -> dict[int, list[WalkResult]]:
         """root -> walk results, one per trigger class of the service.
 
-        Walks stay per root: their cubes carry every node's tags."""
+        Walks stay per root, since their cubes carry every node's tags, but
+        their steps go through :attr:`transfers`, shared by all of them."""
         if self._walks is None:
-            if self._walk_analyzers is None:
-                self._walk_analyzers = {
-                    node: SwitchAnalyzer(sw, self.widths, ff_first_only=True)
-                    for node, sw in self.switches.items()
-                }
+            analyzers = {
+                node: SwitchAnalyzer(sw, self.widths, ff_first_only=True)
+                for node, sw in self.switches.items()
+            }
             classes, _full = trigger_classes(self.service)
-            self._walks = {}
-            for root in self.walk_roots():
-                self._walks[root] = [
+            self._walks = {
+                root: [
                     walk_network(
-                        self.switches,
-                        self.topology,
-                        root,
-                        trigger_fields=dict(fields),
-                        widths=self.widths,
+                        self.switches, self.topology, root,
+                        trigger_fields=dict(fields), widths=self.widths,
                         max_states=self.config.max_states,
-                        analyzers=self._walk_analyzers,
+                        analyzers=analyzers, memo=self.transfers,
                     )
                     for fields in classes
                 ]
+                for root in self.walk_roots()
+            }
         return self._walks
 
     @property
@@ -512,17 +511,11 @@ def check_sweep_coverage(ctx: LintContext, rule: LintRule):
     if ctx.service is None or not ctx.expects_full_sweep:
         return
     for root, walks in ctx.walks().items():
-        swept: set[tuple[int, int]] = set()
-        exhausted = False
-        for walk in walks:
-            swept |= walk.swept
-            exhausted |= walk.exhausted
-        expected = {
-            (node, port)
-            for node in ctx.topology.nodes()
-            for port in range(1, ctx.topology.degree(node) + 1)
-        }
-        missing = sorted(expected - swept)
+        swept = set().union(*(walk.swept for walk in walks))
+        exhausted = any(walk.exhausted for walk in walks)
+        missing = [
+            port for port in walks[0].unswept_ports(ctx.topology) if port not in swept
+        ]
         if not missing:
             continue
         ports = ", ".join(f"{node}:{port}" for node, port in missing[:8])

@@ -41,7 +41,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field as dataclass_field
 
-from repro.core.fields import GLOBAL_FIELD_BITS, cur_field, par_field
+from repro.core.fields import FIELD_OPT_ID, GLOBAL_FIELD_BITS, cur_field, par_field
 from repro.net.topology import Topology
 from repro.openflow.actions import (
     DecTtl,
@@ -703,13 +703,14 @@ class SwitchAnalyzer:
         return out
 
 
-#: Stand-ins for a switch's own tag fields in :func:`local_shape` (tuples,
-#: so no real field name can collide with them).
+#: Stand-ins for a switch's own tag fields and ``opt_id`` value in
+#: :func:`local_shape` (tuples, so no real field name or value collides).
 _OWN_PAR = ("own", "par")
 _OWN_CUR = ("own", "cur")
+_OWN_OPT_ID = ("own", "opt_id")
 
 
-def local_shape(switch: Switch, widths: FieldWidths) -> tuple:
+def local_shape(switch: Switch, widths: FieldWidths, share_opt_id: bool = True) -> tuple:
     """Hashable key of everything :class:`SwitchAnalyzer`'s local analyses
     read from *switch*: two switches with equal keys get the same
     reachable entries, shadowed entries and ambiguous overlaps, entry for
@@ -719,12 +720,16 @@ def local_shape(switch: Switch, widths: FieldWidths) -> tuple:
     (priority, match tests in test order, apply actions, goto, metadata
     write, cookie); every group in insertion order (id, type, and each
     bucket's watch port and actions); and the widths of the two renamed
-    fields.  Two parts are normalised, both by injective renamings, so an
+    fields.  Three parts are normalised, all by injective renamings, so an
     equal key means the two switches are one program up to the renaming:
 
     * the switch's own tags ``par_field(node)`` / ``cur_field(node)``
       become placeholders (every other field keeps its name, so a test on
       another node's tag still tells switches apart);
+    * priocast's node constant ``opt_id = node + 1`` becomes a placeholder
+      in exact tests and writes, unless *share_opt_id* is off (walk cubes
+      carry other nodes' values).  A masked ``opt_id`` test or a decrement
+      would not respect that swap of two values, so it makes the key unique;
     * a label action (``PushLabel`` / ``PopLabel``) becomes its type and
       its ordinal among the switch's distinct label actions.  Labels carry
       node ids, but propagation never reads the label stack, and the
@@ -735,11 +740,23 @@ def local_shape(switch: Switch, widths: FieldWidths) -> tuple:
     own = {par_field(node): _OWN_PAR, cur_field(node): _OWN_CUR}
     labels: dict = {}
 
+    def value_key(name: str, value: int, exact: bool = True) -> object:
+        if name == FIELD_OPT_ID and not exact:  # unique: it breaks the swap
+            return (node, value)
+        mine = share_opt_id and name == FIELD_OPT_ID and value == node + 1
+        return _OWN_OPT_ID if mine else value
+
+    def test_key(test) -> tuple:
+        value = value_key(test.name, test.value, test.mask is None)
+        return (own.get(test.name, test.name), value, test.mask)
+
     def action_key(action) -> object:
         if isinstance(action, SetField):
-            return (SetField, own.get(action.name, action.name), action.value)
+            value = value_key(action.name, action.value)
+            return (SetField, own.get(action.name, action.name), value)
         if isinstance(action, DecTtl):
-            return (DecTtl, own.get(action.field_name, action.field_name))
+            name = action.field_name
+            return (DecTtl, own.get(name, name), value_key(name, 0, exact=False))
         if isinstance(action, (Output, GroupAction)):
             return action
         # Label actions (and any other action propagation ignores).
@@ -754,10 +771,7 @@ def local_shape(switch: Switch, widths: FieldWidths) -> tuple:
             tuple(
                 (
                     entry.priority,
-                    tuple(
-                        (own.get(test.name, test.name), test.value, test.mask)
-                        for test in entry.match.tests.values()
-                    ),
+                    tuple(test_key(test) for test in entry.match.tests.values()),
                     actions_key(entry.instructions.apply_actions),
                     entry.instructions.goto_table,
                     entry.instructions.write_metadata,
@@ -863,6 +877,84 @@ def zero_state_fields(
 DEFAULT_WALK_BUDGET = 50_000
 
 
+def read_fields(switch: Switch) -> frozenset[str]:
+    """The fields whose input value can change what propagation through
+    *switch* does: matched, metadata, decremented and smart-counter fields.
+    Any other field passes through unchanged unless a ``SetField`` writes it."""
+    reads, actions = {"metadata"}, []
+    for _table_id, entry in switch.iter_entries():
+        reads.update(entry.match.field_names())
+        actions.extend(entry.instructions.apply_actions)
+    for group in switch.groups.groups():
+        in_buckets = [a for bucket in group.buckets for a in bucket.actions]
+        actions.extend(in_buckets)
+        if group.group_type is GroupType.SELECT:  # a smart counter havocs its writes
+            reads.update(a.name for a in in_buckets if isinstance(a, SetField))
+    reads.update(a.field_name for a in actions if isinstance(a, DecTtl))
+    return frozenset(reads)
+
+
+class TransferMemo:
+    """Walk steps computed once per switch shape and projected input, for
+    one set of walk analyzers: keyed by the node's :func:`local_shape`
+    (``opt_id`` values kept), the arrival port, and the cube's constraints
+    on :func:`read_fields` and the own tags, in an order that lines up a
+    shape's nodes.  A replay re-attaches the unread input constraints."""
+
+    def __init__(self) -> None:
+        self.ids: dict[tuple, int] = {}  # interned shapes and output parts
+        self.nodes: dict[int, tuple] = {}  # node -> (shape id, reads, read set)
+        self.steps: dict[tuple, tuple] = {}
+
+    def step(self, node: int, analyzer: SwitchAnalyzer, cube: Cube) -> tuple:
+        """:meth:`SwitchAnalyzer.propagate` of *cube* at *node* as ``(hits per
+        (table_id, index), [(table_id, miss cube)], [(output, port, table_id,
+        index, source)], cube_of, token_of)``: ``cube_of(output)`` builds an
+        egress cube, and equal ``token_of(output)`` of one node mean equal ones."""
+        if node not in self.nodes:
+            own = {par_field(node): (0, ""), cur_field(node): (1, "")}
+            read = read_fields(analyzer.switch) | set(own)
+            reads = sorted(read, key=lambda name: own.get(name, (2, name)))
+            shape = local_shape(analyzer.switch, analyzer.widths, share_opt_id=False)
+            self.nodes[node] = (self.ids.setdefault(shape, len(self.ids)), reads, read)
+        shape_id, reads, read = self.nodes[node]
+        held = cube.constraints
+        projected = tuple([held.get(name) for name in reads])
+        key = (shape_id, cube.in_port, projected)
+        if key not in self.steps:
+            fresh = analyzer.propagate(Cube(cube.in_port, {
+                name: v for name, v in zip(reads, projected) if v is not None
+            }))
+
+            def out(result: Cube) -> tuple:
+                part = tuple([result.constraints.get(name) for name in reads])
+                writes = [i for i in result.constraints.items() if i[0] not in read]
+                return part, tuple(writes), self.ids.setdefault(part, len(self.ids))
+
+            self.steps[key] = (
+                {at: len(cubes) for at, cubes in fresh.hits.items()},
+                [(t, out(miss)) for t, cubes in fresh.misses.items() for miss in cubes],
+                [(out(e.cube), e.port, e.table_id, e.entry_index, e.source)
+                 for e in fresh.egresses],
+            )
+        hits, misses, egresses = self.steps[key]
+        unread = {name: v for name, v in held.items() if name not in read}
+        unread_ids: dict[tuple, int] = {}
+
+        def cube_of(output: tuple) -> Cube:
+            merged = dict(unread, **dict(output[1]))
+            merged.update((n, v) for n, v in zip(reads, output[0]) if v is not None)
+            return Cube(cube.in_port, merged)
+
+        def token_of(output: tuple) -> tuple:
+            if output[1] not in unread_ids:
+                key = tuple(sorted(dict(unread, **dict(output[1])).items()))
+                unread_ids[output[1]] = self.ids.setdefault(key, len(self.ids))
+            return (cube.in_port, output[2], unread_ids[output[1]])
+
+        return hits, [(t, cube_of(o)) for t, o in misses], egresses, cube_of, token_of
+
+
 def walk_network(
     switches: dict[int, Switch],
     topology: Topology,
@@ -871,6 +963,7 @@ def walk_network(
     widths: FieldWidths | None = None,
     max_states: int = DEFAULT_WALK_BUDGET,
     analyzers: dict[int, SwitchAnalyzer] | None = None,
+    memo: TransferMemo | None = None,
 ) -> WalkResult:
     """Symbolically walk a trigger-packet class through the network.
 
@@ -879,8 +972,10 @@ def walk_network(
     of ``None`` frees the field entirely (e.g. an unconstrained ``gid``
     analyzes every anycast request at once).  Fast-failover groups take
     their first bucket (all links assumed up), so the walk follows the
-    failure-free DFS while staying symbolic over header contents.
+    failure-free DFS while staying symbolic over header contents.  Steps go
+    through *memo*, which may be shared by walks over the same *analyzers*.
     """
+    memo = memo if memo is not None else TransferMemo()
     if widths is None:
         widths = FieldWidths.for_switches(switches.values())
     if analyzers is None:
@@ -888,51 +983,43 @@ def walk_network(
             node: SwitchAnalyzer(switch, widths, ff_first_only=True)
             for node, switch in switches.items()
         }
-    base = zero_state_fields(switches, topology, widths)
-    constraints = dict(base)
+    constraints = zero_state_fields(switches, topology, widths)
     for name, value in (trigger_fields or {}).items():
         if value is None:
             constraints.pop(name, None)
         else:
             constraints[name] = (value, full_mask(widths.width(name), value))
-    constraints["metadata"] = (0, full_mask(METADATA_WIDTH))
-    trigger = Cube(LOCAL_PORT, constraints)
+    reset = {"metadata": (0, full_mask(METADATA_WIDTH))}
+    trigger = Cube(LOCAL_PORT, {**constraints, **reset})
 
     result = WalkResult(root=root)
     worklist: deque[tuple[int, int, Cube]] = deque([(root, LOCAL_PORT, trigger)])
-    seen: set[tuple[int, int, tuple]] = {(root, LOCAL_PORT, trigger.key())}
+    seen: set[tuple[int, int, tuple]] = set()
     while worklist:
         if result.states >= max_states:
             result.exhausted = True
             break
         node, in_port, cube = worklist.popleft()
         result.states += 1
-        if in_port != cube.in_port:
-            cube = Cube(in_port, cube.constraints)
         # Re-enter the pipeline: the metadata register resets per packet.
-        cube = cube.write_metadata(0, full_mask(METADATA_WIDTH), widths)
-        step = analyzers[node].propagate(cube)
+        cube = Cube(in_port, {**cube.constraints, **reset})
+        hits, misses, egresses, cube_of, token_of = memo.step(node, analyzers[node], cube)
         node_hits = result.hits.setdefault(node, {})
-        for key, cubes in step.hits.items():
-            node_hits[key] = node_hits.get(key, 0) + len(cubes)
-        for table_id, cubes in step.misses.items():
-            for miss in cubes:
-                result.misses.append((node, table_id, miss))
-        for egress in step.egresses:
-            if egress.port == CONTROLLER_PORT:
-                result.reports.append((node, egress.cube))
+        for key, count in hits.items():
+            node_hits[key] = node_hits.get(key, 0) + count
+        result.misses.extend((node, table_id, miss) for table_id, miss in misses)
+        for output, port, *_where in egresses:
+            if port == CONTROLLER_PORT or port == LOCAL_PORT:
+                sink = result.reports if port == CONTROLLER_PORT else result.deliveries
+                sink.append((node, cube_of(output)))
+            if not is_physical_port(port):
                 continue
-            if egress.port == LOCAL_PORT:
-                result.deliveries.append((node, egress.cube))
-                continue
-            if not is_physical_port(egress.port):
-                continue
-            result.swept.add((node, egress.port))
-            peer = topology.neighbor(node, egress.port)
+            result.swept.add((node, port))
+            peer = topology.neighbor(node, port)
             if peer is None:
                 continue  # nonexistent port: structurally reported elsewhere
-            token = (peer.node, peer.port, egress.cube.key())
+            token = (peer.node, peer.port, token_of(output))
             if token not in seen:
                 seen.add(token)
-                worklist.append((peer.node, peer.port, egress.cube))
+                worklist.append((peer.node, peer.port, cube_of(output)))
     return result

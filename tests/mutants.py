@@ -18,6 +18,9 @@ check that must catch it:
   handshake (``tests/test_switch_faults.py``,
   ``tests/test_channel_faults.py``).  A key or digest that stops seeing a
   field makes every check downstream of it pass silently.
+* ``transfer`` — ``tests/test_lint_shapes.py::TestWalkMemoIsExact``: every
+  memoised lint walk step against a fresh propagation of its full cube.  A
+  read set that misses a field the switch changes replays a stale value.
 * ``modelcheck`` — ``tests/test_modelcheck.py::TestCleanDeployment``: the
   model checker's verdict on a correct deployment.  The checker runs the
   switch's own match and action code and shares its fast-failover bucket
@@ -140,9 +143,17 @@ MUTANTS = (
     ),
     Mutant(
         "SHAPE", "repro/analysis/symbolic.py",
-        "            return (SetField, own.get(action.name, action.name), action.value)\n",
+        "            return (SetField, own.get(action.name, action.name), value)\n",
         "            return (SetField, own.get(action.name, action.name))\n",
         "blindspots",
+    ),
+    Mutant(
+        "TRANSFER", "repro/analysis/symbolic.py",
+        "        if group.group_type is GroupType.SELECT:  # a smart counter havocs its writes\n"
+        "            reads.update(a.name for a in in_buckets if isinstance(a, SetField))\n"
+        "    reads.update(a.field_name for a in actions if isinstance(a, DecTtl))\n",
+        "",
+        "transfer",
     ),
     Mutant(
         "DIGEST", "repro/openflow/switch.py",
@@ -188,6 +199,11 @@ KILLERS = {
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          str(ROOT / "tests" / "test_modelcheck.py") + "::TestCleanDeployment"],
         "E       AssertionError: clean deployment fails its check",
+    ),
+    "transfer": (
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         str(ROOT / "tests" / "test_lint_shapes.py") + "::TestWalkMemoIsExact"],
+        "E       AssertionError: memoised step differs",
     ),
 }
 
