@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -188,7 +189,11 @@ def test_supervision_under_loss_sweep(benchmark, emit):
     watchdog + retry loop must always return — a fresh result or an
     explicit honest degradation, never a hang.
     """
-    from repro.control.supervisor import SupervisedRuntime, SupervisorConfig
+    from repro.control.supervisor import (
+        DEFAULT_RETRY,
+        SupervisedRuntime,
+        SupervisorConfig,
+    )
 
     topo = torus(3, 3)
     trials = 15
@@ -212,7 +217,10 @@ def test_supervision_under_loss_sweep(benchmark, emit):
                 for edge_id in lossy:
                     net2.links[edge_id].set_loss(loss)
                 supervised = SupervisedRuntime(
-                    net2, config=SupervisorConfig(max_attempts=6)
+                    net2,
+                    config=SupervisorConfig(
+                        retry=replace(DEFAULT_RETRY, max_attempts=6)
+                    ),
                 )
                 snap = supervised.snapshot(0)
                 answered += 1  # the call returned (no hang) by construction
@@ -263,7 +271,11 @@ def test_recovery_vs_control_loss_sweep(benchmark, emit, request):
             --update-robustness-baseline
     """
     from repro.control.channel import ChannelFaultConfig, ControlChannel
-    from repro.control.supervisor import SupervisedRuntime, SupervisorConfig
+    from repro.control.supervisor import (
+        DEFAULT_RETRY,
+        SupervisedRuntime,
+        SupervisorConfig,
+    )
     from repro.net.topology import torus
 
     topo = torus(3, 3)
@@ -286,7 +298,9 @@ def test_recovery_vs_control_loss_sweep(benchmark, emit, request):
                 )
                 runtime = SupervisedRuntime(
                     net, mode="compiled",
-                    config=SupervisorConfig(max_attempts=6),
+                    config=SupervisorConfig(
+                        retry=replace(DEFAULT_RETRY, max_attempts=6)
+                    ),
                     channel=channel,
                 )
                 started = net.sim.now
@@ -388,6 +402,7 @@ def test_recovery_vs_switch_loss_sweep(benchmark, emit, request):
             --update-robustness-baseline
     """
     from repro.control.supervisor import (
+        DEFAULT_RETRY,
         READOPT_FAILED,
         SupervisedRuntime,
         SupervisorConfig,
@@ -407,7 +422,9 @@ def test_recovery_vs_switch_loss_sweep(benchmark, emit, request):
                 net = Network(topo, seed=seed)
                 runtime = SupervisedRuntime(
                     net, mode="compiled",
-                    config=SupervisorConfig(max_attempts=6),
+                    config=SupervisorConfig(
+                        retry=replace(DEFAULT_RETRY, max_attempts=6)
+                    ),
                 )
                 assert runtime.snapshot(0).ok
                 lost = rng.sample(range(1, topo.num_nodes), victims)

@@ -18,8 +18,10 @@ from repro.core.runtime import SmartSouthRuntime
 from repro.core.smart_counter import build_counter_group
 from repro.net.simulator import Network
 from repro.net.topology import erdos_renyi, grid
-from repro.openflow.group import GroupTable
+from repro.openflow.actions import GroupAction, Instructions
+from repro.openflow.match import Match
 from repro.openflow.packet import Packet
+from repro.openflow.switch import Switch
 
 from conftest import fmt_row
 
@@ -28,13 +30,15 @@ TRIALS = 15
 
 
 def test_counter_fetch_throughput(benchmark):
-    """Microbenchmark: fetch-and-increment through the group machinery."""
-    table = GroupTable(lambda port: True)
-    table.add(build_counter_group(1, 8))
+    """Microbenchmark: fetch-and-increment through the pipeline, from a
+    table-0 entry that applies the counter group."""
+    switch = Switch(0, num_ports=1)
+    switch.add_group(build_counter_group(1, 8))
+    switch.install(0, Match(), Instructions([GroupAction(1)]))
     packet = Packet()
 
     def fetch():
-        table.execute(1, packet, lambda port, pkt: None, in_port=1)
+        switch.process(packet, in_port=1)
         return packet.get(FIELD_SCRATCH)
 
     benchmark(fetch)

@@ -3,14 +3,14 @@
 Every oracle behind the reproduction is byte-identical replay under a
 fixed seed: golden traces, chaos reports and model-check replays.  This
 gate checks that property directly.  It runs the golden-trace scenario
-matrix and one chaos campaign per fault plane in two fresh subprocesses
-under different ``PYTHONHASHSEED`` values, the second in reverse order,
-and demands that every observable hashes identically.  A stray global-RNG
-draw, OS-entropy read, wall-clock read, set order or salted ``hash()``
-that reaches a trace or a report shows up as a digest mismatch, and so
-does state one run leaves for the next (DESIGN.md §9 has the mutant trial
-that retired the static rules for those hazards in favour of this gate;
-``tests/mutants.py`` keeps that trial live).
+matrix, one chaos campaign per fault plane and one trigger storm in two
+fresh subprocesses under different ``PYTHONHASHSEED`` values, the second
+in reverse order, and demands that every observable hashes identically.
+A stray global-RNG draw, OS-entropy read, wall-clock read, set order or
+salted ``hash()`` that reaches a trace or a report shows up as a digest
+mismatch, and so does state one run leaves for the next (DESIGN.md §9 has
+the mutant trial that retired the static rules for those hazards in
+favour of this gate; ``tests/mutants.py`` keeps that trial live).
 
 Each child process is ``python -m repro.analysis.doublerun --emit
 --scenarios ITEMS``: it runs the JSON list *ITEMS* in the order given,
@@ -67,8 +67,11 @@ CHAOS_PLANES = {
 #: One matrix item: a golden scenario or a chaos plane name.
 Item = Scenario | str
 
-#: The gate's matrix in forward order.
-DEFAULT_ITEMS: tuple[Item, ...] = (*GOLDEN_SCENARIOS, *CHAOS_PLANES)
+#: The gate's matrix in forward order.  The trigger storm collects many
+#: reports on one engine, so reports one run leaks into the next show.
+DEFAULT_ITEMS: tuple[Item, ...] = (
+    *GOLDEN_SCENARIOS, *CHAOS_PLANES, ("snapshot-storm", "torus3x3", "lossy", 11)
+)
 
 
 def digests(items) -> dict[str, str]:

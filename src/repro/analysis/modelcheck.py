@@ -24,18 +24,18 @@ quantifies over, made explicit:
   reports, local deliveries, packet losses).
 
 Transitions run the compiled rules through the switch's own semantics:
-:func:`step_switch` walks a node's tables as :meth:`Switch.process` does,
-testing entries with :meth:`Match.hits` and applying every non-group action
-through its own :meth:`Action.apply`, so the checker verifies the compiled
-rules, not a re-implementation of the pipeline or of the algorithm.  Only
-group dispatch is the checker's own, because only there does its
-environment differ from the switch's: fast-failover liveness comes from the
-state's live edges, SELECT cursors from the state's cursors.  A trigger
-is injected with every SmartSouth field zero (:func:`zero_state_names`)
-plus its own fields.  A step is a function of the packet, the live edges
-and the cursors, and changes nothing on the switch it reads, so all
-nondeterminism is the environment's (which packet moves, which link fails,
-when a trigger is injected).
+:func:`step_switch` runs a packet through the one pipeline walk,
+:func:`repro.openflow.switch.walk`, that :meth:`Switch.process` runs
+too, so the checker verifies the compiled rules, not a re-implementation
+of the pipeline or of the algorithm.  Only the walk's environment is the
+checker's: entries are found without moving a counter, fast-failover
+liveness comes from the state's live edges, SELECT cursors from the
+state's cursors, and the MC002, MC003 and MC006 evidence is recorded on
+the way.  A trigger is injected with every SmartSouth field zero
+(:func:`zero_state_names`) plus its own fields.  A step is a function of
+the packet, the live edges and the cursors, and changes nothing on the
+switch it reads, so all nondeterminism is the environment's (which packet
+moves, which link fails, when a trigger is injected).
 
 Invariants
 ----------
@@ -121,7 +121,8 @@ from repro.core.services.blackhole import (
 )
 from repro.core.smart_counter import counter_bucket_value
 from repro.net.topology import Topology
-from repro.openflow.actions import GroupAction, PopLabel
+from repro.openflow.actions import PopLabel
+from repro.openflow.errors import GroupError, PipelineError, TableError
 from repro.openflow.group import GroupType, first_live_bucket
 from repro.openflow.packet import (
     CONTROLLER_PORT,
@@ -131,7 +132,7 @@ from repro.openflow.packet import (
     is_physical_port,
     port_name,
 )
-from repro.openflow.switch import Switch
+from repro.openflow.switch import PipelineEnv, Switch, walk
 
 #: Default bound on explored states per scenario.
 DEFAULT_STATE_BUDGET = 200_000
@@ -466,29 +467,67 @@ def hop_bound(service_name: str, topology: Topology) -> int:
 # --------------------------------------------------------------------- #
 
 
-@dataclass
-class StepOutcome:
-    """Everything one packet step produced."""
+class StepOutcome(PipelineEnv):
+    """One packet step: the environment the checker walks a switch's
+    pipeline in, and everything the step produced.  The environment moves
+    nothing on the switch: entries are found by a counter-free scan, FF
+    liveness is the state's live edges (*live*), and SELECT cursors live in
+    *cursors*, keyed ``(node, group_id)`` and defaulting to ``rr_next``."""
 
-    #: (port, fields, stack, ff_alternative) per output, in emission order.
-    #: The port is resolved (IN_PORT becomes the arrival port); *fields* is
-    #: the header as emitted; *ff_alternative* says, for an emission from a
-    #: fast-failover bucket, whether the group had another live bucket
-    #: when this one was selected (MC006 evidence), and is None otherwise.
-    emissions: list[tuple[int, dict[str, int], tuple, bool | None]] = (
-        dataclass_field(default_factory=list)
-    )
-    #: (group_id, bucket index used, value that bucket writes).
-    fetches: list[tuple[int, int, int | None]] = dataclass_field(
-        default_factory=list
-    )
-    pops_on_empty: int = 0
-    miss_table: int | None = None
-    error: str | None = None
+    def __init__(self, node=-1, in_port=0, live=None, cursors=None) -> None:
+        super().__init__(live)
+        self.node, self.in_port, self.cursors = node, in_port, cursors
+        #: (port, fields, stack, ff_alternative) per output, in order, with
+        #: IN_PORT resolved; *ff_alternative* (MC006) says whether the FF
+        #: group an emission came from had another live bucket, else None.
+        self.emissions: list[tuple[int, dict[str, int], tuple, bool | None]] = []
+        #: (group_id, bucket index used, value that bucket writes): MC003.
+        self.fetches: list[tuple[int, int, int | None]] = []
+        #: Label pops that found the stack empty: MC002.
+        self.pops_on_empty = 0
+        self.miss_table: int | None = None
+        self.error: str | None = None
 
+    def find(self, table, context):
+        for entry in table.entries():
+            if entry.match.hits(context):
+                return entry
+        return None
 
-class _StepError(Exception):
-    """A structural pipeline error; its text becomes ``StepOutcome.error``."""
+    def cursor(self, group) -> int:
+        return self.cursors.get((self.node, group.group_id), group.rr_next)
+
+    def set_cursor(self, group, index: int) -> None:
+        self.cursors[(self.node, group.group_id)] = index
+
+    def ran(self, group) -> None:
+        pass
+
+    def enter(self, group, index: int, emit):
+        alternative = None
+        if group.group_type is GroupType.FF:  # the buckets before are dead
+            later = group.buckets[index + 1 :]
+            alternative = first_live_bucket(later, self.live) is not None
+        elif group.group_type is GroupType.SELECT:
+            value = counter_bucket_value(group, index)
+            self.fetches.append((group.group_id, index, value))
+        return self.emitter(alternative)
+
+    def emitter(self, ff_alternative: bool | None):
+        emissions, in_port = self.emissions, self.in_port
+
+        def emit(port: int, pkt: Packet) -> None:
+            resolved = in_port if port == IN_PORT else port
+            emissions.append(
+                (resolved, dict(pkt.fields), tuple(pkt.stack), ff_alternative)
+            )
+
+        return emit
+
+    def apply(self, action, packet: Packet, emit, in_port: int) -> None:
+        if isinstance(action, PopLabel):
+            self.pops_on_empty += max(0, action.count - len(packet.stack))
+        action.apply(packet, emit, in_port)
 
 
 def step_switch(
@@ -499,102 +538,22 @@ def step_switch(
     port_live: Callable[[int], bool],
     cursors: dict[tuple[int, int], int],
 ) -> StepOutcome:
-    """Run one packet through *switch*'s pipeline without touching it.
-
-    The walk is :meth:`Switch.process`'s: tables in match order, each entry
-    tested with :meth:`Match.hits` over :meth:`Switch.match_context`, the
-    masked metadata write, forward-only goto, and every non-group action
-    applied through its own :meth:`Action.apply`.  Only group dispatch is
-    the checker's, because only there does its environment differ from the
-    switch's: fast-failover liveness is *port_live* (the state's live
-    edges), SELECT cursors are read from and advanced in *cursors* (keyed
-    ``(node, group_id)``, defaulting to the group's ``rr_next``), and the
-    MC003 and MC006 evidence is recorded on the way.  Nothing on the switch
-    moves: no entry, group or bucket counter, no ``rr_next`` and no packet
-    id (the packet is built without a network, so it and its clones carry
-    id 0).
-    """
-    out = StepOutcome()
-    node = switch.node_id
-
-    def run(actions, packet: Packet, ff_alternative, active) -> None:
-        def emit(port: int, pkt: Packet) -> None:
-            resolved = in_port if port == IN_PORT else port
-            out.emissions.append(
-                (resolved, dict(pkt.fields), tuple(pkt.stack), ff_alternative)
-            )
-
-        for action in actions:
-            if isinstance(action, GroupAction):
-                run_group(action.group_id, packet, active)
-                continue
-            if isinstance(action, PopLabel):
-                out.pops_on_empty += max(0, action.count - len(packet.stack))
-            action.apply(packet, emit, in_port)
-
-    def run_group(group_id: int, packet: Packet, active) -> None:
-        if group_id in active:
-            raise _StepError(f"group-loop:{group_id}")
-        if group_id not in switch.groups:
-            raise _StepError(f"unknown-group:{group_id}")
-        group = switch.groups.get(group_id)
-        active = active | {group_id}
-        buckets = group.buckets
-        if group.group_type is GroupType.ALL:
-            for bucket in buckets:
-                run(bucket.actions, packet.copy(), None, active)
-        elif group.group_type is GroupType.INDIRECT:
-            if buckets:
-                run(buckets[0].actions, packet, None, active)
-        elif group.group_type is GroupType.FF:
-            index = first_live_bucket(buckets, port_live)
-            if index is not None:  # else OpenFlow drops silently
-                others = buckets[:index] + buckets[index + 1 :]
-                alternative = first_live_bucket(others, port_live) is not None
-                run(buckets[index].actions, packet, alternative, active)
-        else:  # SELECT (round robin): the cursor lives in the global state
-            if not buckets:
-                raise _StepError(f"empty-select:{group_id}")
-            key = (node, group_id)
-            index = cursors.get(key, group.rr_next)
-            cursors[key] = (index + 1) % len(buckets)
-            if not 0 <= index < len(buckets):
-                raise _StepError(f"select-cursor:{group_id}:{index}")
-            out.fetches.append(
-                (group_id, index, counter_bucket_value(group, index))
-            )
-            run(buckets[index].actions, packet, None, active)
-
+    """Run one packet through *switch*'s pipeline without touching it: the
+    switch's own :func:`~repro.openflow.switch.walk`, in a
+    :class:`StepOutcome` that reads *port_live* and advances *cursors*.
+    No counter, ``rr_next`` or packet id moves (the packet has no network,
+    so it and an ALL group's clones carry id 0).  A structural fault
+    becomes ``error``, its kind and detail joined by a colon
+    (``"group-loop:7"``, ``"pipeline-limit"``).  A bare switch would miss
+    table 0, as under :meth:`Switch.process`, but the explorer never steps
+    a down or bare switch (:meth:`Explorer._apply_step`)."""
+    out = StepOutcome(switch.node_id, in_port, port_live, cursors)
     packet = Packet(dict(fields), list(stack))
-    metadata = 0
-    table_id = 0
     try:
-        for _step in range(Switch.MAX_PIPELINE_STEPS):
-            table = switch.tables.get(table_id)
-            if table is None:
-                raise _StepError(f"missing-table:{table_id}")
-            context = Switch.match_context(packet, in_port, metadata)
-            for entry in table.entries():
-                if entry.match.hits(context):
-                    break
-            else:
-                out.miss_table = table_id
-                return out
-            instructions = entry.instructions
-            if instructions.write_metadata is not None:
-                value, mask = instructions.write_metadata
-                metadata = (metadata & ~mask) | (value & mask)
-            run(instructions.apply_actions, packet, None, frozenset())
-            goto = instructions.goto_table
-            if goto is None:
-                return out
-            if goto <= table_id:
-                raise _StepError(f"goto-backward:{table_id}->{goto}")
-            table_id = goto
-        raise _StepError("pipeline-limit")
-    except _StepError as exc:
-        out.error = str(exc)
-        return out
+        out.miss_table = walk(switch, packet, in_port, out.emitter(None), out)
+    except (PipelineError, TableError, GroupError) as exc:
+        out.error = f"{exc.kind}:{exc.detail}" if exc.detail else exc.kind
+    return out
 
 
 # --------------------------------------------------------------------- #

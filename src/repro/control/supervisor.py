@@ -79,34 +79,19 @@ UNCONFIRMED = "unconfirmed"
 PROBE_INCOMPLETE = "probe-incomplete"
 
 
+#: The supervisor's attempt budget and backoff schedule unless configured.
+DEFAULT_RETRY = RetryPolicy(max_attempts=4, max_backoff=512.0)
+
+
 @dataclass
 class SupervisorConfig:
     """Retry/deadline policy of one supervisor."""
 
-    #: Total trigger attempts (first try + retries).
-    max_attempts: int = 4
+    #: Total trigger attempts (first try + retries) and the backoff between
+    #: them: the one policy every retry loop of the supervisor runs.
+    retry: RetryPolicy = DEFAULT_RETRY
     #: Deadline head-room over the closed-form worst case.
     safety_factor: float = 4.0
-    #: First backoff (simulated time units).
-    base_backoff: float = 8.0
-    #: Backoff growth per retry.
-    backoff_factor: float = 2.0
-    #: Backoff ceiling.
-    max_backoff: float = 512.0
-    #: Max jitter, as a fraction of the backoff (uniform, seeded).
-    jitter: float = 0.5
-
-    @property
-    def retry(self) -> RetryPolicy:
-        """The attempt budget and backoff schedule, as the one
-        :class:`RetryPolicy` every retry loop of the supervisor runs."""
-        return RetryPolicy(
-            max_attempts=self.max_attempts,
-            base_backoff=self.base_backoff,
-            backoff_factor=self.backoff_factor,
-            max_backoff=self.max_backoff,
-            jitter=self.jitter,
-        )
 
     def validate(self) -> None:
         self.retry.validate()

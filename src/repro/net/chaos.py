@@ -33,13 +33,14 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Callable, Iterator
 
 from repro.core.determinism import Rng, seeded_rng
 
 from repro.control.channel import ChannelFaultConfig, ControlChannel
 from repro.control.supervisor import (
+    DEFAULT_RETRY,
     ReadoptReport,
     ResyncReport,
     SupervisedRuntime,
@@ -954,7 +955,9 @@ def run_one(
     # Crash and switch-fault runs use compiled switches: the inventory
     # handshake reconciles real per-switch flow state, not a no-op.
     mode = "compiled" if profile.crash or switch_faulted else "interpreted"
-    config = SupervisorConfig(max_attempts=max_attempts)
+    config = SupervisorConfig(
+        retry=replace(DEFAULT_RETRY, max_attempts=max_attempts)
+    )
     runtime = SupervisedRuntime(network, mode=mode, config=config, channel=channel)
     repairs = _plan_repairs(
         network, profile, plan_rng, channel, runtime, root, switch_faulted,

@@ -2,7 +2,13 @@
 
 
 class OpenFlowError(Exception):
-    """Base class for all errors raised by the OpenFlow substrate."""
+    """Base class for all errors raised by the OpenFlow substrate.  A fault
+    found walking a pipeline also has a stable *kind* (``"group-loop"``,
+    ``"missing-table"``, ...) and a *detail* locating it (``"7"``)."""
+
+    def __init__(self, message: str = "", kind: str = "", detail: object = ""):
+        super().__init__(message)
+        self.kind, self.detail = kind, str(detail)
 
 
 class TableError(OpenFlowError):

@@ -198,8 +198,8 @@ def _slot_expr(name: str, mask: int | None) -> str:
     """The Python expression reading one signature slot from the context.
 
     ``in_port`` and ``metadata`` are pipeline registers, not packet fields
-    (mirrors :meth:`Switch.match_context`); everything else reads the packet's
-    field dict with the "absent reads as 0" convention.
+    (as in :func:`~repro.openflow.switch.walk`); everything else reads the
+    packet's field dict with the "absent reads as 0" convention.
     """
     if name == "in_port":
         expr = "ip"
@@ -644,7 +644,7 @@ class FastPath:
         in_port: int,
         active: frozenset[int],
     ) -> None:
-        """Run a compiled group program (semantics of GroupTable.execute)."""
+        """Run a compiled group program (the pipeline walk's group dispatch)."""
         if group_id in active:
             raise GroupError(f"group chaining loop through group {group_id}")
         program = self._programs.get(group_id)

@@ -16,7 +16,8 @@ Four group types are modelled:
   counter modulo k.
 
 Group chaining (a bucket invoking another group) is permitted as in OF 1.3,
-but cycles are rejected at execution time.
+but cycles are rejected at execution time.  Groups run inside the pipeline
+walk (:func:`repro.openflow.switch.walk`); this module holds them.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from repro.openflow.actions import Action, EmitFn, GroupAction
+from repro.openflow.actions import Action
 from repro.openflow.errors import GroupError
-from repro.openflow.packet import Packet
 
 #: Liveness oracle: maps a physical port number to "is the attached link up".
 LivenessFn = Callable[[int], bool]
@@ -85,8 +85,8 @@ def first_live_bucket(
 ) -> int | None:
     """Index of the bucket a fast-failover group runs: the first whose
     watch port is live (a bucket with no watch port always is), or None
-    when every bucket is dead and the packet drops.  Pure, so the group
-    table and the model checker's group dispatch share one selection."""
+    when every bucket is dead and the packet drops.  Pure: the pipeline
+    walk and the model checker's MC006 evidence share it."""
     for index, bucket in enumerate(buckets):
         if bucket.watch_port is None or liveness(bucket.watch_port):
             return index
@@ -94,14 +94,13 @@ def first_live_bucket(
 
 
 class GroupTable:
-    """All groups of one switch, plus the execution engine for them."""
+    """All groups of one switch."""
 
     #: Called after every mutation (see :attr:`Switch.program_generation`).
     on_mutate: Callable[[], None] | None = None
 
-    def __init__(self, liveness: LivenessFn) -> None:
+    def __init__(self) -> None:
         self._groups: dict[int, Group] = {}
-        self._liveness = liveness
         self._version = 0
 
     @property
@@ -145,7 +144,9 @@ class GroupTable:
         try:
             return self._groups[group_id]
         except KeyError:
-            raise GroupError(f"unknown group id {group_id}") from None
+            raise GroupError(
+                f"unknown group id {group_id}", "unknown-group", group_id
+            ) from None
 
     def __contains__(self, group_id: int) -> bool:
         return group_id in self._groups
@@ -155,64 +156,3 @@ class GroupTable:
 
     def groups(self) -> Sequence[Group]:
         return list(self._groups.values())
-
-    # ------------------------------------------------------------------ #
-    # Execution                                                          #
-    # ------------------------------------------------------------------ #
-
-    def execute(
-        self,
-        group_id: int,
-        packet: Packet,
-        emit: EmitFn,
-        in_port: int,
-        _active: frozenset[int] = frozenset(),
-    ) -> None:
-        """Run group *group_id* on *packet*.
-
-        ``_active`` tracks the chain of groups currently executing so that
-        bucket-to-group chaining cannot loop.
-        """
-        if group_id in _active:
-            raise GroupError(f"group chaining loop through group {group_id}")
-        group = self.get(group_id)
-        group.packet_count += 1
-        active = _active | {group_id}
-
-        if group.group_type is GroupType.ALL:
-            for bucket in group.buckets:
-                clone = packet.copy()
-                self._run_bucket(bucket, clone, emit, in_port, active)
-        elif group.group_type is GroupType.INDIRECT:
-            if group.buckets:
-                self._run_bucket(group.buckets[0], packet, emit, in_port, active)
-        elif group.group_type is GroupType.FF:
-            index = first_live_bucket(group.buckets, self._liveness)
-            if index is not None:
-                self._run_bucket(
-                    group.buckets[index], packet, emit, in_port, active
-                )
-            # No live bucket: OpenFlow drops the packet silently.
-        elif group.group_type is GroupType.SELECT:
-            if not group.buckets:
-                raise GroupError(f"SELECT group {group_id} has no buckets")
-            bucket = group.buckets[group.rr_next]
-            group.rr_next = (group.rr_next + 1) % len(group.buckets)
-            self._run_bucket(bucket, packet, emit, in_port, active)
-        else:  # pragma: no cover - exhaustive enum
-            raise GroupError(f"unsupported group type {group.group_type}")
-
-    def _run_bucket(
-        self,
-        bucket: Bucket,
-        packet: Packet,
-        emit: EmitFn,
-        in_port: int,
-        active: frozenset[int],
-    ) -> None:
-        bucket.packet_count += 1
-        for action in bucket.actions:
-            if isinstance(action, GroupAction):
-                self.execute(action.group_id, packet, emit, in_port, active)
-            else:
-                action.apply(packet, emit, in_port)

@@ -7,10 +7,17 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from repro.core.determinism import Rng, seeded_rng
-from repro.openflow.actions import GroupAction, Instructions
-from repro.openflow.errors import InstallError, PipelineError, TableError
+from repro.openflow.actions import EmitFn, GroupAction, Instructions
+from repro.openflow.errors import GroupError, InstallError, PipelineError, TableError
 from repro.openflow.flowtable import FlowEntry, FlowTable
-from repro.openflow.group import Bucket, Group, GroupTable, LivenessFn
+from repro.openflow.group import (
+    Bucket,
+    Group,
+    GroupTable,
+    GroupType,
+    LivenessFn,
+    first_live_bucket,
+)
 from repro.openflow.match import Match
 from repro.openflow.packet import (
     IN_PORT,
@@ -105,6 +112,8 @@ class Switch:
         self.node_id = node_id
         self.num_ports = num_ports
         self._liveness: LivenessFn = liveness or (lambda port: True)
+        #: The environment :meth:`process` walks the pipeline in.
+        self._env = PipelineEnv(self._port_live)
         self.program_generation = 0
         self.tables: dict[int, FlowTable] = {}
         self.groups = self._group_table()
@@ -129,7 +138,7 @@ class Switch:
         self.program_generation += 1
 
     def _group_table(self) -> GroupTable:
-        groups = GroupTable(self._port_live)
+        groups = GroupTable()
         groups.on_mutate = self._program_changed
         return groups
 
@@ -365,7 +374,8 @@ class Switch:
     # ------------------------------------------------------------------ #
 
     def process(self, packet: Packet, in_port: int) -> list[PacketOut]:
-        """Run *packet* (arriving on *in_port*) through the pipeline.
+        """Run *packet* (arriving on *in_port*) through the pipeline: the
+        one :func:`walk`, in this switch's own :class:`PipelineEnv`.
 
         Returns every emitted (port, packet) pair.  Output actions emit a
         snapshot copy of the packet, as OpenFlow does; reserved port
@@ -383,55 +393,14 @@ class Switch:
             return self._fast_path.process(packet, in_port)
         self.packets_processed = self.packets_processed + 1
         outputs: list[PacketOut] = []
-        metadata = 0
 
         def emit(port: int, pkt: Packet) -> None:
             resolved = in_port if port == IN_PORT else port
             outputs.append(PacketOut(resolved, pkt.copy()))
 
-        table_id = 0
-        steps = 0
-        while True:
-            steps += 1
-            if steps > self.MAX_PIPELINE_STEPS:
-                raise PipelineError(
-                    f"switch {self.node_id}: pipeline exceeded "
-                    f"{self.MAX_PIPELINE_STEPS} steps (rule loop?)"
-                )
-            table = self.tables.get(table_id)
-            if table is None:
-                if table_id == 0 and not self.tables:
-                    # A bare switch (factory-fresh after a reboot) has no
-                    # table 0 at all: that is a table miss, not a pipeline
-                    # misconfiguration — drop, as OF 1.3 does.
-                    self.table_misses += 1
-                    return outputs
-                raise TableError(
-                    f"switch {self.node_id}: goto to missing table {table_id}"
-                )
-            context = self.match_context(packet, in_port, metadata)
-            entry = table.lookup(context)
-            if entry is None:
-                # Table miss with no miss entry: drop (OF 1.3 default).
-                self.table_misses += 1
-                return outputs
-            instructions = entry.instructions
-            if instructions.write_metadata is not None:
-                value, mask = instructions.write_metadata
-                metadata = (metadata & ~mask) | (value & mask)
-            for action in instructions.apply_actions:
-                if isinstance(action, GroupAction):
-                    self.groups.execute(action.group_id, packet, emit, in_port)
-                else:
-                    action.apply(packet, emit, in_port)
-            if instructions.goto_table is None:
-                return outputs
-            if instructions.goto_table <= table_id:
-                raise PipelineError(
-                    f"switch {self.node_id}: goto_table must move forward "
-                    f"({table_id} -> {instructions.goto_table})"
-                )
-            table_id = instructions.goto_table
+        if walk(self, packet, in_port, emit, self._env) is not None:
+            self.table_misses += 1  # OF 1.3 default: drop on a miss
+        return outputs
 
     def process_batch(self, items: list, deliver) -> None:
         """Run a batch of ``(packet, in_port)`` arrivals through the pipeline.
@@ -451,17 +420,6 @@ class Switch:
         for index, (packet, in_port) in enumerate(items):
             outputs = self.process(packet, in_port)
             deliver(index, [(out.port, out.packet) for out in outputs])
-
-    @staticmethod
-    def match_context(
-        packet: Packet, in_port: int, metadata: int
-    ) -> Mapping[str, int]:
-        """What a table's matches read: the packet's fields overlaid with
-        the ``in_port`` and ``metadata`` pipeline registers."""
-        context = dict(packet.fields)
-        context["in_port"] = in_port
-        context["metadata"] = metadata
-        return context
 
     # ------------------------------------------------------------------ #
     # Introspection (used by the verifier and benchmarks)                #
@@ -536,3 +494,113 @@ class Switch:
             f"Switch({self.node_id}, ports={self.num_ports}, "
             f"rules={self.rule_count()}, groups={self.group_count()})"
         )
+
+
+class PipelineEnv:
+    """What a :func:`walk` reads and moves besides the packet, by default
+    the switch's own: counted lookups, its liveness oracle, ``rr_next``
+    cursors, and a count for every group invoked and bucket run."""
+
+    def __init__(self, live: LivenessFn) -> None:
+        self.live = live
+
+    def find(self, table: FlowTable, context) -> FlowEntry | None:
+        return table.lookup(context)
+
+    def cursor(self, group: Group) -> int:
+        return group.rr_next
+
+    def set_cursor(self, group: Group, index: int) -> None:
+        group.rr_next = index
+
+    def ran(self, group: Group) -> None:
+        group.packet_count += 1
+
+    def enter(self, group: Group, index: int, emit: EmitFn) -> EmitFn:
+        """Bucket *index* is about to run; returns the emit it uses."""
+        group.buckets[index].packet_count += 1
+        return emit
+
+    def apply(self, action, packet: Packet, emit: EmitFn, in_port: int) -> None:
+        action.apply(packet, emit, in_port)
+
+
+def walk(
+    switch: Switch, packet: Packet, in_port: int, emit: EmitFn, env: PipelineEnv
+) -> int | None:
+    """The one interpretive pipeline: run *packet*, arriving on *in_port*,
+    through *switch*'s tables (match order, masked metadata register,
+    forward-only goto, at most ``MAX_PIPELINE_STEPS``) and groups (as
+    :mod:`repro.openflow.group` describes) in *env*.  Every other action
+    runs through its :meth:`Action.apply`, handing *emit* the packet itself
+    with ``IN_PORT`` unresolved.  Returns the table that missed (a bare
+    switch, with no tables, misses table 0), or None.  A structural fault
+    raises :class:`TableError`, :class:`PipelineError` or
+    :class:`GroupError` with a stable ``kind``."""
+    node, tables, groups = switch.node_id, switch.tables, switch.groups
+    apply = env.apply
+
+    def run(actions, packet: Packet, emit: EmitFn, active: frozenset[int]) -> None:
+        for action in actions:
+            if isinstance(action, GroupAction):
+                dispatch(action.group_id, packet, emit, active)
+            else:
+                apply(action, packet, emit, in_port)
+
+    def dispatch(group_id: int, packet: Packet, emit: EmitFn, active) -> None:
+        if group_id in active:
+            message = f"group chaining loop through group {group_id}"
+            raise GroupError(message, "group-loop", group_id)
+        group = groups.get(group_id)  # GroupError "unknown-group" if absent
+        env.ran(group)
+        active = active | {group_id}
+        buckets = group.buckets
+        if group.group_type is GroupType.ALL:
+            for index, bucket in enumerate(buckets):
+                clone = packet.copy()
+                run(bucket.actions, clone, env.enter(group, index, emit), active)
+            return
+        if group.group_type is GroupType.INDIRECT:
+            index = 0 if buckets else None
+        elif group.group_type is GroupType.FF:
+            index = first_live_bucket(buckets, env.live)
+        elif not buckets:
+            message = f"SELECT group {group_id} has no buckets"
+            raise GroupError(message, "empty-select", group_id)
+        else:  # SELECT, round robin
+            index = env.cursor(group)
+            env.set_cursor(group, (index + 1) % len(buckets))
+            if not 0 <= index < len(buckets):
+                message = f"SELECT group {group_id} cursor {index} out of range"
+                raise GroupError(message, "select-cursor", f"{group_id}:{index}")
+        if index is not None:
+            run(buckets[index].actions, packet, env.enter(group, index, emit), active)
+
+    metadata = table_id = 0
+    for _step in range(switch.MAX_PIPELINE_STEPS):
+        table = tables.get(table_id)
+        if table is None:
+            if not tables:  # bare (rebooted, not yet re-adopted): a miss
+                return 0
+            message = f"switch {node}: goto to missing table {table_id}"
+            raise TableError(message, "missing-table", table_id)
+        # A table's matches read the packet's fields and two registers.
+        context = {**packet.fields, "in_port": in_port, "metadata": metadata}
+        entry = env.find(table, context)
+        if entry is None:
+            return table_id
+        instructions = entry.instructions
+        if instructions.write_metadata is not None:
+            value, mask = instructions.write_metadata
+            metadata = (metadata & ~mask) | (value & mask)
+        run(instructions.apply_actions, packet, emit, frozenset())
+        goto = instructions.goto_table
+        if goto is None:
+            return None
+        if goto <= table_id:
+            message = f"switch {node}: goto_table must move forward "
+            message += f"({table_id} -> {goto})"
+            raise PipelineError(message, "goto-backward", f"{table_id}->{goto}")
+        table_id = goto
+    message = f"switch {node}: pipeline exceeded {switch.MAX_PIPELINE_STEPS} steps"
+    raise PipelineError(message + " (rule loop?)", "pipeline-limit")

@@ -1,4 +1,4 @@
-"""Hazard corpus: RACE001/RACE002 (mutable state shared across engines)."""
+"""Hazard corpus: RACE001 (module state shared across engines)."""
 
 REGISTRY: dict = {}
 LIMITS = [10, 20]
@@ -64,44 +64,3 @@ def good_read_only(name):
 def good_reads_scalar_global():
     global _HITS  # declaring the name is not a write
     return _HITS + 1
-
-
-class BadTable:
-    rows: list = []
-
-    def add(self, row):
-        self.rows.append(row)  # expect[RACE002]
-
-
-class BadCounter:
-    hits = {}
-
-    def bump(self, key):
-        self.hits[key] = self.hits.get(key, 0) + 1  # expect[RACE002]
-
-
-class GoodTable:
-    rows: list = []  # a default; every instance rebinds it
-
-    def __init__(self):
-        self.rows = []
-
-    def add(self, row):
-        self.rows.append(row)
-
-
-class GoodAnnotatedTable:
-    rows: list = []  # an annotated per-instance rebind counts too
-
-    def __init__(self):
-        self.rows: list = []
-
-    def add(self, row):
-        self.rows.append(row)
-
-
-class GoodConstants:
-    WEIGHTS = (1, 2, 3)
-
-    def total(self):
-        return sum(self.WEIGHTS)

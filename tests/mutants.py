@@ -4,12 +4,13 @@ collected by pytest).
 Each mutant plants one hazard in a temp copy of ``src/`` and names the
 check that must catch it:
 
-* ``doublerun`` — ``python -m repro.analysis.doublerun``: golden scenarios
-  and one chaos campaign per fault plane, run in two processes under
-  different ``PYTHONHASHSEED`` values, the second in reverse order, digests
-  compared.  It retired the static rules DET001/002/003/005/007 (DESIGN.md
-  §9); the RACE mutants survive even the reversed order.
-* ``hazards`` — ``tests/test_source_hazards.py``: the four AST checks that
+* ``doublerun`` — ``python -m repro.analysis.doublerun``: golden scenarios,
+  one chaos campaign per fault plane and one trigger storm, run in two
+  processes under different ``PYTHONHASHSEED`` values, the second in
+  reverse order, digests compared.  It retired the static rules
+  DET001/002/003/005/007 and RACE002 (DESIGN.md §9); the RACE001 mutant
+  survives even the reversed order.
+* ``hazards`` — ``tests/test_source_hazards.py``: the three AST checks that
   survive because their hazards replay identically until some other change
   exposes them.
 * ``blindspots`` — the key and digest tests that pin what two program
@@ -22,10 +23,10 @@ check that must catch it:
   memoised lint walk step against a fresh propagation of its full cube.  A
   read set that misses a field the switch changes replays a stale value.
 * ``modelcheck`` — ``tests/test_modelcheck.py::TestCleanDeployment``: the
-  model checker's verdict on a correct deployment.  The checker runs the
-  switch's own match and action code and shares its fast-failover bucket
-  choice (``openflow.group.first_live_bucket``), so a wrong choice there
-  must turn that verdict, not only the switch's behaviour.
+  model checker's verdict on correct deployments.  The checker runs the
+  switch's own pipeline walk (``openflow.switch.walk``) and shares its
+  fast-failover bucket choice (``openflow.group.first_live_bucket``), so a
+  bug in either must turn that verdict, not only the switch's behaviour.
 
 The script first checks that every anchor occurs exactly once and that every
 killer passes on the unmutated copy, then applies each mutant alone and runs
@@ -139,7 +140,7 @@ MUTANTS = (
         "    def __init__(self, network: Network, service: Service) -> None:\n"
         "        self.network = network\n"
         "        self.service = service\n",
-        "hazards",
+        "doublerun",
     ),
     Mutant(
         "SHAPE", "repro/analysis/symbolic.py",
@@ -169,6 +170,12 @@ MUTANTS = (
         "FFORDER", "repro/openflow/group.py",
         "    for index, bucket in enumerate(buckets):\n",
         "    for index, bucket in reversed(list(enumerate(buckets))):\n",
+        "modelcheck",
+    ),
+    Mutant(
+        "RRADVANCE", "repro/openflow/switch.py",
+        "            env.set_cursor(group, (index + 1) % len(buckets))\n",
+        "            env.set_cursor(group, index % len(buckets))\n",
         "modelcheck",
     ),
 )
@@ -251,7 +258,7 @@ def main() -> int:
                 verdict = run_killer(mutant.killer, src)
             finally:
                 path.write_text(original)
-            print(f"{mutant.rule:<8} {mutant.file:<28} {mutant.killer:<10} "
+            print(f"{mutant.rule:<9} {mutant.file:<28} {mutant.killer:<10} "
                   f"{verdict}")
             if verdict != "killed":
                 failures.append(f"{mutant.rule} mutant in {mutant.file}: {verdict}")

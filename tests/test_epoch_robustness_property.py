@@ -12,6 +12,8 @@ messages — over random seeds.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +21,7 @@ from repro.analysis.modelcheck import INVARIANTS
 from repro.control.channel import ChannelFaultConfig, ControlChannel
 from repro.control.supervisor import (
     ACCEPTED,
+    DEFAULT_RETRY,
     SupervisedRuntime,
     SupervisorConfig,
     check_epoch_ledger,
@@ -27,6 +30,8 @@ from repro.core.epoch import EPOCH_SPACE, EpochClock, EpochGate
 from repro.core.services.snapshot import SnapshotService
 from repro.net.simulator import Network
 from repro.net.topology import grid, ring
+
+THREE_ATTEMPTS = SupervisorConfig(retry=replace(DEFAULT_RETRY, max_attempts=3))
 
 
 class TestGateProperties:
@@ -91,7 +96,7 @@ class TestLedgerUnderChannelFaults:
             ),
         )
         runtime = SupervisedRuntime(
-            net, config=SupervisorConfig(max_attempts=3), channel=channel
+            net, config=THREE_ATTEMPTS, channel=channel
         )
         snap = runtime.snapshot(0)
         assert check_epoch_ledger(snap.supervision) == []
@@ -112,7 +117,7 @@ class TestLedgerUnderChannelFaults:
             ),
         )
         runtime = SupervisedRuntime(
-            net, config=SupervisorConfig(max_attempts=3), channel=channel
+            net, config=THREE_ATTEMPTS, channel=channel
         )
         outcomes = [
             runtime.snapshot(0).supervision,

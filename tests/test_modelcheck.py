@@ -51,9 +51,12 @@ from repro.core.smart_counter import (
 from repro.net.failures import fail_edge_after_steps, fail_link_after_steps
 from repro.net.simulator import Network
 from repro.net.topology import abilene, grid, ring, star
-from repro.openflow.actions import SetField
-from repro.openflow.group import GroupType
+from repro.openflow.actions import GroupAction, Instructions, SetField
+from repro.openflow.errors import GroupError, PipelineError, TableError
+from repro.openflow.group import Bucket, Group, GroupType
+from repro.openflow.match import Match
 from repro.openflow.packet import Packet
+from repro.openflow.switch import Switch
 
 
 def compiled(topology, service):
@@ -391,14 +394,24 @@ def test_abilene_snapshot_under_failures_clean():
 
 class TestCleanDeployment:
     """``tests/mutants.py`` runs this class as the killer of its FFORDER
-    mutant: fast-failover bucket choice is one helper
-    (:func:`repro.openflow.group.first_live_bucket`) that the switch and
-    the checker share, so a wrong choice must show in the checker's own
-    verdict on a deployment that is otherwise correct."""
+    and RRADVANCE mutants: the switch and the checker share one pipeline
+    walk (:func:`repro.openflow.switch.walk`) and one fast-failover
+    bucket choice (:func:`repro.openflow.group.first_live_bucket`), so a
+    bug in either must show in the checker's own verdict on a deployment
+    that is otherwise correct.  Blackhole detection reads its smart
+    counters, so its check sees a SELECT group that does not advance."""
 
     def test_snapshot_ring_checks_clean(self):
         report = check_engine(
             compiled(ring(4), SnapshotService()), CheckConfig(max_failures=0)
+        )
+        assert report.exit_code == 0, (
+            f"clean deployment fails its check: {report.summary()}"
+        )
+
+    def test_blackhole_ring_checks_clean(self):
+        report = check_engine(
+            compiled(ring(4), BlackholeService()), CheckConfig(max_failures=1)
         )
         assert report.exit_code == 0, (
             f"clean deployment fails its check: {report.summary()}"
@@ -511,6 +524,62 @@ def test_check_engine_leaves_the_engine_untouched(factory):
     assert report.exit_code == 0, report.format_text(ring(4))
     assert ids.allocate() == packet_id + 1
     assert fingerprint() == before
+
+
+def _faulty_switch(error: str) -> Switch:
+    """A switch whose pipeline hits the structural fault *error* on its
+    first packet."""
+    switch = Switch(0, num_ports=2)
+    kind = error.split(":")[0]
+    if kind in ("missing-table", "goto-backward", "pipeline-limit"):
+        switch.install(0, Match(), Instructions(goto_table=1))
+        switch.install(1, Match(), Instructions(goto_table=2))
+        if kind == "goto-backward":
+            switch.install(2, Match(), Instructions(goto_table=0))
+        if kind == "pipeline-limit":
+            switch.install(2, Match(), Instructions())
+            switch.MAX_PIPELINE_STEPS = 2
+        return switch
+    group_id = 9 if kind == "unknown-group" else 1
+    switch.install(0, Match(), Instructions([GroupAction(group_id)]))
+    if kind == "group-loop":
+        loop = Bucket([GroupAction(1)])
+        switch.add_group(Group(1, GroupType.INDIRECT, [loop]))
+    elif kind in ("empty-select", "select-cursor"):
+        buckets = [] if kind == "empty-select" else [Bucket([]), Bucket([])]
+        switch.add_group(Group(1, GroupType.SELECT, buckets, rr_next=5))
+    return switch
+
+
+#: step_switch's error -> (what Switch.process raises, its message).
+PIPELINE_FAULTS = {
+    "missing-table:2": (TableError, "switch 0: goto to missing table 2"),
+    "goto-backward:2->0": (
+        PipelineError, "switch 0: goto_table must move forward (2 -> 0)"
+    ),
+    "pipeline-limit": (
+        PipelineError, "switch 0: pipeline exceeded 2 steps (rule loop?)"
+    ),
+    "group-loop:1": (GroupError, "group chaining loop through group 1"),
+    "unknown-group:9": (GroupError, "unknown group id 9"),
+    "empty-select:1": (GroupError, "SELECT group 1 has no buckets"),
+    "select-cursor:1:5": (GroupError, "SELECT group 1 cursor 5 out of range"),
+}
+
+
+@pytest.mark.parametrize("error", sorted(PIPELINE_FAULTS))
+def test_structural_faults_name_their_kind(error):
+    """The one pipeline walk raises each structural fault once: the checker's
+    step reports it as ``kind:detail`` (the MC008 text), and
+    :meth:`Switch.process` raises it with its type and message."""
+    outcome = modelcheck.step_switch(
+        _faulty_switch(error), 1, (), (), lambda port: True, {}
+    )
+    assert outcome.error == error
+    exc_type, message = PIPELINE_FAULTS[error]
+    with pytest.raises(exc_type) as raised:
+        _faulty_switch(error).process(Packet(), 1)
+    assert str(raised.value) == message
 
 
 # --------------------------------------------------------------------- #
@@ -724,14 +793,19 @@ class TestEpochAtMostOnce:
             assert check_epoch_ledger(outcome) == []
 
     def test_degraded_supervised_run_satisfies_the_ledger(self):
-        from repro.control.supervisor import SupervisedRuntime, SupervisorConfig
-        from repro.control.supervisor import check_epoch_ledger
+        from dataclasses import replace
+
+        from repro.control.supervisor import (
+            DEFAULT_RETRY,
+            SupervisedRuntime,
+            SupervisorConfig,
+            check_epoch_ledger,
+        )
 
         net = Network(ring(5))
         net.links[0].set_blackhole()
-        runtime = SupervisedRuntime(
-            net, config=SupervisorConfig(max_attempts=2)
-        )
+        config = SupervisorConfig(retry=replace(DEFAULT_RETRY, max_attempts=2))
+        runtime = SupervisedRuntime(net, config=config)
         snap = runtime.snapshot(0)
         assert snap.degraded
         assert check_epoch_ledger(snap.supervision) == []

@@ -278,7 +278,7 @@ def _reference_adopt(switch, expected, config, rng, faults_left):
         faults_left -= 1
         cut = rng.randrange(total)
     switch.tables = {}
-    switch.groups = type(switch.groups)(switch._port_live)
+    switch.groups = type(switch.groups)()
     done = 0
     for table_id, entry in entries:
         if done == cut:

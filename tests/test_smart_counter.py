@@ -9,19 +9,28 @@ from hypothesis import strategies as st
 from repro.core.fields import FIELD_SCRATCH
 from repro.core.services.base import SmartCounterBank
 from repro.core.smart_counter import build_counter_group, counter_value
-from repro.openflow.group import GroupTable, GroupType
+from repro.openflow.actions import GroupAction, Instructions
+from repro.openflow.group import GroupType
+from repro.openflow.match import Match
 from repro.openflow.packet import Packet
+from repro.openflow.switch import Switch
+
+
+def counter_switch(group):
+    """A switch whose one table-0 entry applies *group*."""
+    switch = Switch(0, num_ports=1)
+    switch.add_group(group)
+    switch.install(0, Match(), Instructions([GroupAction(group.group_id)]))
+    return switch
 
 
 class TestCounterGroup:
-    def _table_with_counter(self, modulus):
-        table = GroupTable(lambda port: True)
-        table.add(build_counter_group(1, modulus))
-        return table
+    def _switch_with_counter(self, modulus):
+        return counter_switch(build_counter_group(1, modulus))
 
-    def _fetch(self, table):
+    def _fetch(self, switch):
         packet = Packet()
-        table.execute(1, packet, lambda port, pkt: None, in_port=1)
+        switch.process(packet, in_port=1)
         return packet.get(FIELD_SCRATCH)
 
     def test_is_select_group(self):
@@ -30,22 +39,21 @@ class TestCounterGroup:
         assert len(group.buckets) == 4
 
     def test_fetch_returns_pre_increment_value(self):
-        table = self._table_with_counter(4)
-        assert [self._fetch(table) for _ in range(6)] == [0, 1, 2, 3, 0, 1]
+        switch = self._switch_with_counter(4)
+        assert [self._fetch(switch) for _ in range(6)] == [0, 1, 2, 3, 0, 1]
 
     def test_counter_value_tracks_cursor(self):
-        table = self._table_with_counter(3)
-        group = table.get(1)
+        switch = self._switch_with_counter(3)
+        group = switch.groups.get(1)
         assert counter_value(group) == 0
-        self._fetch(table)
+        self._fetch(switch)
         assert counter_value(group) == 1
 
     def test_custom_field_name(self):
-        table = GroupTable(lambda port: True)
-        table.add(build_counter_group(2, 3, field_name="mycnt"))
+        switch = counter_switch(build_counter_group(2, 3, field_name="mycnt"))
         packet = Packet()
-        table.execute(2, packet, lambda port, pkt: None, in_port=1)
-        table.execute(2, packet, lambda port, pkt: None, in_port=1)
+        switch.process(packet, in_port=1)
+        switch.process(packet, in_port=1)
         assert packet.get("mycnt") == 1
 
     def test_too_small_modulus_rejected(self):
@@ -55,8 +63,8 @@ class TestCounterGroup:
     @settings(max_examples=20, deadline=None)
     @given(st.integers(2, 16), st.integers(1, 60))
     def test_wraps_mod_k(self, modulus, fetches):
-        table = self._table_with_counter(modulus)
-        values = [self._fetch(table) for _ in range(fetches)]
+        switch = self._switch_with_counter(modulus)
+        values = [self._fetch(switch) for _ in range(fetches)]
         assert values == [i % modulus for i in range(fetches)]
 
 
@@ -108,9 +116,8 @@ class TestSmartCounterBank:
     def test_bank_and_group_agree(self, modulus, fetches):
         """The interpreted bank and the compiled group are the same counter."""
         bank = SmartCounterBank()
-        table = GroupTable(lambda port: True)
-        table.add(build_counter_group(1, modulus))
+        switch = counter_switch(build_counter_group(1, modulus))
         for _ in range(fetches):
             packet = Packet()
-            table.execute(1, packet, lambda port, pkt: None, in_port=1)
+            switch.process(packet, in_port=1)
             assert bank.fetch_inc("c", modulus) == packet.get(FIELD_SCRATCH)

@@ -4,7 +4,7 @@ The double-run gate (``python -m repro.analysis.doublerun``) checks the
 reproduction's oracle directly: same seed, two processes under different
 ``PYTHONHASHSEED`` values, the second in reverse order, byte-identical
 golden traces and chaos reports.  Planting one mutant per hazard
-(``tests/mutants.py``, DESIGN.md §9) showed that four hazards slip past
+(``tests/mutants.py``, DESIGN.md §9) showed that three hazards slip past
 it, because each is deterministic today and only breaks replay after an
 innocent-looking change elsewhere:
 
@@ -16,8 +16,6 @@ innocent-looking change elsewhere:
 * RACE001 — a module global mutated inside a function: state every engine
   in the process shares, which a rerun in that process starts from wherever
   the last run left it.  Import-time initialization is exempt.
-* RACE002 — a class-level container mutated through ``self`` in a class
-  that never rebinds it per instance: one object shared by every instance.
 
 Each check is a plain function from one parsed module to findings.  The
 ``repro`` package that is imported (so a mutated copy on ``PYTHONPATH`` is
@@ -42,8 +40,7 @@ PACKAGE = Path(repro.__file__).resolve().parent
 FIXTURES = Path(__file__).parent / "fixtures" / "hazards"
 
 #: Permitted sites keyed ``(path, rule, name)``, one reason each.  ``name``
-#: is the global for RACE001, ``Class.attr`` for RACE002 and the enclosing
-#: function for DET004/DET006.
+#: is the global for RACE001 and the enclosing function for DET004/DET006.
 ALLOWED = {
     ("repro/analysis/lint.py", "RACE001", "LINT_RULES"):
         "import-time rule registration by @lint_rule, frozen before use",
@@ -57,7 +54,7 @@ ALLOWED = {
         "in-process memo key (two sites); an `is` check guards id reuse",
 }
 
-RULES = ("DET004", "DET006", "RACE001", "RACE002")
+RULES = ("DET004", "DET006", "RACE001")
 
 _FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 _SCOPES = (*_FUNCS, ast.ClassDef)
@@ -317,63 +314,7 @@ def race001(mod: Module):
         yield Finding(mod.relpath, node.lineno, "RACE001", name)
 
 
-def _self_attr(node: ast.AST, me: str) -> str | None:
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == me
-    ):
-        return node.attr
-    return None
-
-
-def _mutated_self_attr(node: ast.AST, me: str) -> str | None:
-    """The attribute of *me* that *node* mutates in place, if any."""
-    if isinstance(node, ast.Call):
-        func = node.func
-        if isinstance(func, ast.Attribute) and func.attr in _MUTATORS:
-            return _self_attr(func.value, me)
-    elif isinstance(node, (ast.Assign, ast.AugAssign)):
-        targets = [node.target] if isinstance(node, ast.AugAssign) else node.targets
-        for target in targets:
-            if isinstance(target, ast.Subscript):
-                return _self_attr(target.value, me)
-            if isinstance(node, ast.AugAssign):
-                return _self_attr(target, me)
-    return None
-
-
-def race002(mod: Module):
-    """A class-level container mutated through ``self`` in a class whose
-    methods never rebind it per instance."""
-    for klass in ast.walk(mod.tree):
-        if not isinstance(klass, ast.ClassDef):
-            continue
-        shared = container_bindings(mod, klass.body)
-        if not shared:
-            continue
-        methods = [
-            (stmt, params[0].arg)
-            for stmt in klass.body if isinstance(stmt, _FUNCS)
-            if (params := [*stmt.args.posonlyargs, *stmt.args.args])
-        ]
-        rebound = {
-            _self_attr(target, me)
-            for method, me in methods for node in ast.walk(method)
-            if isinstance(node, (ast.Assign, ast.AnnAssign))
-            for target in (node.targets if isinstance(node, ast.Assign)
-                           else [node.target])
-        }
-        for method, me in methods:
-            for node in ast.walk(method):
-                attr = _mutated_self_attr(node, me)
-                if attr in shared and attr not in rebound:
-                    yield Finding(
-                        mod.relpath, node.lineno, "RACE002", f"{klass.name}.{attr}"
-                    )
-
-
-CHECKS = (det004, det006, race001, race002)
+CHECKS = (det004, det006, race001)
 
 
 def scan(root: Path, base: Path) -> frozenset[Finding]:

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.control.channel import ControlChannel
+from repro.control.retry import RetryPolicy
 from repro.control.supervisor import (
+    DEFAULT_RETRY,
     ACCEPTED,
     DEGRADED_REPORT,
     PACKET_OUT_LOST,
@@ -33,6 +37,11 @@ from repro.net.topology import complete, ring, torus
 from repro.net.trace import EventKind
 
 
+def attempts(count: int) -> SupervisorConfig:
+    """The default supervisor policy with a *count*-attempt budget."""
+    return SupervisorConfig(retry=replace(DEFAULT_RETRY, max_attempts=count))
+
+
 class TestSupervisorConfig:
     def test_defaults_valid(self):
         SupervisorConfig().validate()
@@ -40,11 +49,11 @@ class TestSupervisorConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"max_attempts": 0},
+            {"retry": RetryPolicy(max_attempts=0)},
             {"safety_factor": 0.5},
-            {"base_backoff": -1.0},
-            {"backoff_factor": 0.9},
-            {"jitter": 1.5},
+            {"retry": RetryPolicy(base_backoff=-1.0)},
+            {"retry": RetryPolicy(backoff_factor=0.9)},
+            {"retry": RetryPolicy(jitter=1.5)},
         ],
     )
     def test_bad_values_rejected(self, kwargs):
@@ -107,10 +116,10 @@ class TestRetryPath:
         delays_a = [policy_a.backoff(i, net_a.rng) for i in range(4)]
         delays_b = [policy_b.backoff(i, net_b.rng) for i in range(4)]
         assert delays_a == delays_b  # same network seed, same jitter
-        bare = [sup_a.config.base_backoff * sup_a.config.backoff_factor**i
+        bare = [policy_a.base_backoff * policy_a.backoff_factor**i
                 for i in range(4)]
         for drawn, base in zip(delays_a, bare):
-            assert base <= drawn <= base * (1 + sup_a.config.jitter)
+            assert base <= drawn <= base * (1 + policy_a.jitter)
 
 
 class TestDegradation:
@@ -119,7 +128,7 @@ class TestDegradation:
         # attempt on a ring (no alternate path for the sweep's first hop).
         net = Network(ring(5))
         net.links[0].set_blackhole()
-        config = SupervisorConfig(max_attempts=2)
+        config = attempts(2)
         runtime = SupervisedRuntime(net, config=config)
         snap = runtime.snapshot(0)
         assert snap.degraded and not snap.ok
@@ -136,14 +145,14 @@ class TestDegradation:
         net = Network(ring(5))
         net.links[0].set_blackhole()
         net.links[4].set_blackhole()
-        runtime = SupervisedRuntime(net, config=SupervisorConfig(max_attempts=2))
+        runtime = SupervisedRuntime(net, config=attempts(2))
         verdict = runtime.critical(0)
         assert verdict.degraded
         assert verdict.critical is None
 
     def test_anycast_falls_back_to_confirmed_member(self):
         net = Network(ring(6))
-        runtime = SupervisedRuntime(net, config=SupervisorConfig(max_attempts=2))
+        runtime = SupervisedRuntime(net, config=attempts(2))
         first = runtime.anycast(0, 1, {1: {3}})
         assert first.delivered_at == 3
         # Now every path out of the origin silently drops: no fresh
@@ -158,7 +167,7 @@ class TestDegradation:
         net = Network(ring(6))
         for link in net.links:
             link.set_blackhole()
-        runtime = SupervisedRuntime(net, config=SupervisorConfig(max_attempts=2))
+        runtime = SupervisedRuntime(net, config=attempts(2))
         delivery = runtime.anycast(0, 1, {1: {3}})
         assert delivery.degraded and not delivery.fallback
         assert delivery.delivered_at is None
@@ -170,7 +179,7 @@ class TestControllerDisconnection:
         channel = ControlChannel(net)
         channel.disconnect(0)
         runtime = SupervisedRuntime(
-            net, config=SupervisorConfig(max_attempts=3), channel=channel
+            net, config=attempts(3), channel=channel
         )
         snap = runtime.snapshot(0)
         assert snap.degraded
@@ -191,7 +200,7 @@ class TestControllerDisconnection:
         # Reconnect while the supervisor is backing off after attempt 1.
         net.sim.at(20.0, lambda: channel.reconnect(0))
         runtime = SupervisedRuntime(
-            net, config=SupervisorConfig(max_attempts=4), channel=channel
+            net, config=attempts(4), channel=channel
         )
         snap = runtime.snapshot(0)
         assert snap.ok
@@ -203,7 +212,7 @@ class TestControllerDisconnection:
         channel = ControlChannel(net)
         channel.disconnect(0)
         runtime = SupervisedRuntime(
-            net, config=SupervisorConfig(max_attempts=2), channel=channel
+            net, config=attempts(2), channel=channel
         )
         result = runtime.detect_blackhole(0)
         assert result.degraded
@@ -217,7 +226,7 @@ class TestControllerDisconnection:
         channel = ControlChannel(net)
         net.at_packet_step(1, lambda: channel.disconnect(0))
         runtime = SupervisedRuntime(
-            net, config=SupervisorConfig(max_attempts=2), channel=channel
+            net, config=attempts(2), channel=channel
         )
         result = runtime.detect_blackhole(0)
         first = result.supervision.attempts[0]
@@ -234,7 +243,7 @@ class TestSupervisedBlackhole:
     def test_symmetric_blackhole_confirmed_across_epochs(self):
         net = Network(complete(5))
         net.links[3].set_blackhole()
-        runtime = SupervisedRuntime(net, config=SupervisorConfig(max_attempts=4))
+        runtime = SupervisedRuntime(net, config=attempts(4))
         result = runtime.detect_blackhole(0)
         assert not result.degraded
         verdict = result.verdict
@@ -273,7 +282,7 @@ class TestSupervisedBlackhole:
         net = Network(ring(5), seed=11)
         net.links[0].set_loss(0.45)
         net.links[1].set_loss(0.45)
-        runtime = SupervisedRuntime(net, config=SupervisorConfig(max_attempts=6))
+        runtime = SupervisedRuntime(net, config=attempts(6))
         result = runtime.detect_blackhole(0)
         assert check_epoch_ledger(result.supervision) == []
         if not result.degraded:
@@ -336,7 +345,8 @@ class TestStaleSquashing:
         for link in net.links:
             link.delay = 30.0
         config = SupervisorConfig(
-            max_attempts=3, safety_factor=1.0, base_backoff=1.0
+            retry=replace(DEFAULT_RETRY, max_attempts=3, base_backoff=1.0),
+            safety_factor=1.0,
         )
         supervisor = TraversalSupervisor(net, SnapshotService(), config=config)
         # Shrink the deadline below the real traversal time.
