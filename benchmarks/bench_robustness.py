@@ -258,7 +258,9 @@ def test_recovery_vs_control_loss_sweep(benchmark, emit, request):
       answer — retries and backoff included, so it grows with loss);
     * attempts spent (the retry bill the channel extracts);
     * after a full controller crash/restart, whether ``resynchronize``
-      converges and in how many handshake rounds.
+      (an epoch jump, an in-band relearn, then the ``readopt`` sweep)
+      passes the chaos campaign's repair oracle, and in how many
+      handshake rounds.
 
     All metrics are seeded-simulator quantities, not wall-clock, so the
     committed baseline (``benchmarks/baselines/robustness_baseline.json``)
@@ -276,6 +278,7 @@ def test_recovery_vs_control_loss_sweep(benchmark, emit, request):
         SupervisedRuntime,
         SupervisorConfig,
     )
+    from repro.net.chaos import repair_problems
     from repro.net.topology import torus
 
     topo = torus(3, 3)
@@ -314,7 +317,7 @@ def test_recovery_vs_control_loss_sweep(benchmark, emit, request):
                 channel.fail_controller()
                 channel.restore_controller()
                 report = runtime.resynchronize(0)
-                if report.converged:
+                if not repair_problems(report):
                     converged += 1
                 rounds += report.rounds
             rows.append({

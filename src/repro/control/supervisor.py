@@ -35,12 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Mapping, Sequence
 
-from repro.core.engine import (
-    TraversalResult,
-    _BaseEngine,
-    _bind_switches,
-    make_engine,
-)
+from repro.core.engine import TraversalResult, make_engine
 from repro.core.epoch import EpochClock, EpochGate, watchdog_deadline
 from repro.core.fields import FIELD_EPOCH, FIELD_GID, FIELD_REPEAT, FIELD_SVC
 from repro.core.services.anycast import AnycastService
@@ -528,12 +523,7 @@ class SupervisedCritical:
     supervision: SupervisedOutcome
 
 
-#: Per-switch reconciliation outcomes.
-RESYNC_OK = "ok"
-RESYNC_REPROGRAMMED = "reprogrammed"
-RESYNC_UNREACHABLE = "unreachable"
-
-#: Per-switch re-adoption outcomes (see :meth:`SupervisedRuntime.readopt`).
+#: Per-switch repair outcomes (see :meth:`SupervisedRuntime.readopt`).
 READOPT_OK = "ok"
 READOPT_REPROGRAMMED = "reprogrammed"
 READOPT_DARK = "dark"
@@ -542,8 +532,8 @@ READOPT_FAILED = "install-failed"
 
 
 @dataclass
-class ReadoptAttempt:
-    """One audited per-switch decision in the re-adoption ledger.
+class RepairAttempt:
+    """One audited per-switch decision in the repair ledger.
 
     Every round records one attempt per (switch, service) pair — matches
     (``ok``), pushes (``reprogrammed``), interrupted pushes
@@ -559,14 +549,15 @@ class ReadoptAttempt:
 
 
 @dataclass
-class ReadoptReport:
-    """What one switch re-adoption sweep did (the chaos oracle's evidence
-    for *switch-recovery*)."""
+class RepairReport:
+    """What one repair did: a :meth:`~SupervisedRuntime.readopt` sweep, or
+    a :meth:`~SupervisedRuntime.resynchronize`, which runs one (the chaos
+    oracle's evidence for *switch-recovery* and *resync-convergence*)."""
 
     converged: bool
     rounds: int
     #: Full per-round, per-(switch, service) audit trail.
-    attempts: list[ReadoptAttempt] = field(default_factory=list)
+    attempts: list[RepairAttempt] = field(default_factory=list)
     #: Nodes reprogrammed in *any* round, in reprogramming order.
     reprogrammed_nodes: list[int] = field(default_factory=list)
     #: Final-round honest-degradation sets: switches that are crashed
@@ -576,40 +567,15 @@ class ReadoptReport:
     #: Reachable, up switches whose digest still disagreed after the final
     #: round (non-empty only when ``converged`` is False).
     drifted_nodes: list[int] = field(default_factory=list)
-
-
-@dataclass
-class SwitchResync:
-    """Inventory-handshake outcome for one (switch, service) pair."""
-
-    node: int
-    service: str
-    status: str
-
-
-@dataclass
-class ResyncReport:
-    """What one post-restart resynchronization did (the chaos oracle's
-    evidence for *resync-convergence*)."""
-
-    converged: bool
-    rounds: int
+    # -- set by resynchronize only ---------------------------------------- #
     #: Epoch clock before and after the post-crash jump.
-    epoch_before: int
-    epoch_after: int
-    #: Nodes the in-band re-learning traversal reached.
-    relearned_nodes: set[int]
-    relearned_links: set[frozenset[tuple[int, int]]]
+    epoch_before: int | None = None
+    epoch_after: int | None = None
+    #: What the in-band re-learning traversal reached.
+    relearned_nodes: set[int] = field(default_factory=set)
+    relearned_links: set[frozenset[tuple[int, int]]] = field(default_factory=set)
     #: True when the re-learning snapshot itself had to degrade.
-    topology_degraded: bool
-    #: Final-round handshake entries (the fixed point when ``converged``).
-    switches: list[SwitchResync] = field(default_factory=list)
-    #: Nodes reprogrammed in *any* round, in reprogramming order.
-    reprogrammed_nodes: list[int] = field(default_factory=list)
-
-    @property
-    def unreachable_nodes(self) -> list[int]:
-        return [s.node for s in self.switches if s.status == RESYNC_UNREACHABLE]
+    topology_degraded: bool = False
 
 
 class SupervisedRuntime:
@@ -660,11 +626,9 @@ class SupervisedRuntime:
             self._supervisors[key] = supervisor
         return supervisor
 
-    # -- post-restart resynchronization ----------------------------------- #
+    # -- repair: resynchronization and re-adoption ------------------------ #
 
-    def resynchronize(
-        self, root: int, margin: int = 2, max_rounds: int = 3
-    ) -> ResyncReport:
+    def resynchronize(self, root: int, margin: int = 2) -> RepairReport:
         """Resynchronize after a controller crash/restart.
 
         A restarted controller keeps only static configuration (the service
@@ -681,78 +645,19 @@ class SupervisedRuntime:
            traversal from *root* re-learns nodes and links — the paper's
            point: re-learning needs management connectivity to a *single*
            switch, not to all of them.
-        3. **Inventory handshake, to a fixed point.**  Every switch of
-           every supervised engine reports its
-           :meth:`~repro.openflow.switch.Switch.inventory_digest`; the
-           controller compares it with the expected program's digest and
-           replaces any switch whose digest disagrees (a crash during
-           programming, or state garbled while unsupervised) with the
-           program compiled from static config, bound the way the engine
-           binds every switch.  Rounds repeat until one reprograms nothing;
-           ``converged`` is False only when *max_rounds* of reprogramming
-           never reached that fixed point.
+        3. **Inventory handshake** — :meth:`readopt`, the one repair: every
+           switch whose digest disagrees is reprogrammed in place, and a
+           crashed switch is reported ``dark``, not replaced.
         """
         epoch_before = self.clock.current
         epoch_after = self.clock.resync(margin)
         snap = self.snapshot(root)
-        report = ResyncReport(
-            converged=False,
-            rounds=0,
-            epoch_before=epoch_before,
-            epoch_after=epoch_after,
-            relearned_nodes=set(snap.nodes),
-            relearned_links=set(snap.links),
-            topology_degraded=snap.degraded,
-        )
-        expected_programs: dict = {}
-        for _round in range(max_rounds):
-            report.rounds += 1
-            entries: list[SwitchResync] = []
-            for key, supervisor, node, reachable in self._handshake_walk():
-                engine = supervisor.engine
-                if not reachable:
-                    status = RESYNC_UNREACHABLE
-                elif self._matches_expected(
-                    expected_programs, key, node, engine.switches[node]
-                ):
-                    status = RESYNC_OK
-                else:
-                    # Installing consumes the expected switch: a later push
-                    # to this node needs a fresh compile.
-                    expected = self._expected_program(expected_programs, key, node)
-                    del expected_programs[key, node]
-                    engine.switches[node] = expected
-                    _bind_switches(self.network, {node: expected}, engine.batch)
-                    status = RESYNC_REPROGRAMMED
-                    report.reprogrammed_nodes.append(node)
-                entries.append(SwitchResync(node, supervisor.service.name, status))
-            report.switches = entries
-            if all(entry.status != RESYNC_REPROGRAMMED for entry in entries):
-                report.converged = True
-                break
+        report = self.readopt()
+        report.epoch_before, report.epoch_after = epoch_before, epoch_after
+        report.relearned_nodes = set(snap.nodes)
+        report.relearned_links = set(snap.links)
+        report.topology_degraded = snap.degraded
         return report
-
-    # -- the repair handshake shared by resynchronize and readopt --------- #
-
-    def _handshake_walk(
-        self,
-    ) -> Iterator[tuple[str, TraversalSupervisor, int, bool]]:
-        """Every switch a handshake round visits, in deterministic order.
-
-        Yields ``(key, supervisor, node, reachable)`` over the sorted
-        supervisor keys of compiled engines, then their sorted nodes;
-        ``reachable`` is False for a management-disconnected node.
-        Interpreted engines keep no switch-side flow state to reconcile
-        ((re)binding happens on their next call) and yield nothing.
-        """
-        for key in sorted(self._supervisors):
-            supervisor = self._supervisors[key]
-            installed = getattr(supervisor.engine, "switches", None)
-            if not installed:
-                continue
-            for node in sorted(installed):
-                reachable = self.channel is None or self.channel.connected(node)
-                yield key, supervisor, node, reachable
 
     def _matches_expected(
         self, memo: dict, key: str, node: int, switch: Switch
@@ -778,9 +683,8 @@ class SupervisedRuntime:
 
     def _expected_program(self, memo: dict, key: str, node: int) -> Switch:
         """The program static configuration prescribes for *node* under
-        supervisor *key*, compiled at most once per repair call
-        (:meth:`resynchronize` or :meth:`readopt`, which owns *memo*)
-        however many rounds it runs."""
+        supervisor *key*, compiled at most once per :meth:`readopt` call
+        (which owns *memo*) however many rounds it runs."""
         from repro.core.compiler import compile_service
 
         expected = memo.get((key, node))
@@ -794,31 +698,32 @@ class SupervisedRuntime:
             )
         return expected
 
-    # -- switch re-adoption ----------------------------------------------- #
+    def _installed_switches(self) -> Iterator[tuple[str, int, Switch]]:
+        """``(key, node, switch)`` for every switch of every supervised
+        compiled engine, in deterministic order: sorted supervisor keys,
+        then sorted nodes.  Interpreted engines contribute nothing."""
+        for key in sorted(self._supervisors):
+            installed = getattr(self._supervisors[key].engine, "switches", None) or {}
+            for node in sorted(installed):
+                yield key, node, installed[node]
 
     def switches_at(self, node: int) -> list:
-        """Every installed Switch object currently serving *node*.
-
-        Walks the cached compiled engines in deterministic (service-key)
-        order; interpreted engines contribute nothing.  The chaos harness
-        uses this to aim switch-level faults at whatever box is actually
-        bound to a node, and tests use it to poke switch state directly.
+        """Every installed Switch object currently serving *node*, in
+        service-key order.  The chaos harness uses this to aim switch-level
+        faults at whatever box is actually bound to a node, and tests use
+        it to poke switch state directly.
         """
-        switches = []
-        for key in sorted(self._supervisors):
-            engine = self._supervisors[key].engine
-            installed = getattr(engine, "switches", None)
-            if installed and node in installed:
-                switches.append(installed[node])
-        return switches
+        return [switch for _key, at, switch in self._installed_switches() if at == node]
 
-    def readopt(self, max_rounds: int = 4) -> ReadoptReport:
-        """Re-adopt rebooted (or otherwise drifted) switches.
+    def readopt(self, max_rounds: int = 4) -> RepairReport:
+        """Re-adopt rebooted (or otherwise drifted) switches: the one repair.
 
-        The switch-side mirror of :meth:`resynchronize`: there the
-        *controller* lost its soft state; here a *switch* did.  Each round
-        walks every switch of every supervised compiled engine and runs the
-        inventory handshake — the switch reports its
+        Whichever side lost its state — a *switch* here, the *controller* in
+        :meth:`resynchronize`, which ends with this sweep — the repair is
+        the same.  Each round walks every switch of every supervised
+        compiled engine (sorted supervisor keys, then sorted nodes;
+        interpreted engines keep no switch-side flow state and are skipped)
+        and runs the inventory handshake — the switch reports its
         :meth:`~repro.openflow.switch.Switch.inventory_digest` (which
         covers flow entries, group buckets and FF watch ports), the
         controller compares it with the expected program's digest, and any
@@ -839,7 +744,7 @@ class SupervisedRuntime:
         ``converged`` means every *reachable, up* switch matched its
         expected digest in the final sweep.
         """
-        report = ReadoptReport(converged=False, rounds=0)
+        report = RepairReport(converged=False, rounds=0)
         expected_programs: dict = {}
 
         def sweep(round_index: int) -> None:
@@ -848,10 +753,9 @@ class SupervisedRuntime:
             sets: dict[str, list[int]] = {
                 READOPT_UNREACHABLE: [], READOPT_DARK: [], READOPT_FAILED: []
             }
-            for key, supervisor, node, reachable in self._handshake_walk():
-                switch = supervisor.engine.switches[node]
+            for key, node, switch in self._installed_switches():
                 drifted = False
-                if not reachable:
+                if self.channel is not None and not self.channel.connected(node):
                     status = READOPT_UNREACHABLE
                 elif switch.down:
                     status = READOPT_DARK
@@ -873,11 +777,9 @@ class SupervisedRuntime:
                         drifted = not self._matches_expected(
                             expected_programs, key, node, switch
                         )
-                report.attempts.append(
-                    ReadoptAttempt(
-                        round_index, node, supervisor.service.name, status
-                    )
-                )
+                report.attempts.append(RepairAttempt(
+                    round_index, node, self._supervisors[key].service.name, status
+                ))
                 nodes = sets[READOPT_FAILED] if drifted else sets.get(status)
                 if nodes is not None and node not in nodes:
                     nodes.append(node)

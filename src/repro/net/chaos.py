@@ -41,8 +41,7 @@ from repro.core.determinism import Rng, seeded_rng
 from repro.control.channel import ChannelFaultConfig, ControlChannel
 from repro.control.supervisor import (
     DEFAULT_RETRY,
-    ReadoptReport,
-    ResyncReport,
+    RepairReport,
     SupervisedRuntime,
     SupervisorConfig,
     check_epoch_ledger,
@@ -442,7 +441,7 @@ def _plan_repairs(
                 "relearned_nodes": len(report.relearned_nodes),
                 "topology_degraded": report.topology_degraded,
             }
-            return {"resync": detail}, resync_problems(report)
+            return {"resync": detail}, repair_problems(report)
 
         repairs.append(("resync", resync))
     if not switch_faulted:
@@ -541,7 +540,7 @@ def _plan_repairs(
         details = {"readopt": detail}
         if pressure_stats:
             details["table_pressure"] = dict(pressure_stats)
-        return details, readopt_problems(report)
+        return details, repair_problems(report)
 
     repairs.append(("readopt", readopt))
     return repairs
@@ -804,44 +803,29 @@ def judge(
 # --------------------------------------------------------------------- #
 
 
-def resync_problems(report: ResyncReport) -> list[str]:
-    """The resync-convergence oracle, on one post-crash :class:`ResyncReport`.
+def repair_problems(report: RepairReport) -> list[str]:
+    """The repair oracle, on one :class:`RepairReport`: *resync-convergence*
+    after a controller crash, *switch-recovery* after switch faults.
 
-    A restarted controller must (a) jump its epoch clock past every epoch
+    A resynchronized controller must jump its epoch clock past every epoch
     that could still be in flight — otherwise a pre-crash straggler could be
-    accepted against a post-crash epoch — and (b) drive the inventory
-    handshake to a fixed point.  Returns human-readable violations.
+    accepted against a post-crash epoch.  Every repair must converge: each
+    reachable switch's inventory digest reached the compiled fixed point
+    despite partial-install interruptions (the report's attempt ledger
+    audits each retry).  No switch may be dark: the campaign driver forces
+    every crashed victim back up before re-adopting, and a controller crash
+    crashes no switch.  Returns human-readable violations.
     """
     problems: list[str] = []
-    if report.epoch_after == report.epoch_before:
+    if report.epoch_after is not None and report.epoch_after == report.epoch_before:
         problems.append("epoch clock did not jump past in-flight epochs")
     if not report.converged:
         problems.append(
-            f"inventory handshake did not converge in {report.rounds} rounds"
-        )
-    return problems
-
-
-def readopt_problems(report: ReadoptReport) -> list[str]:
-    """The switch-recovery oracle, on one post-run :class:`ReadoptReport`.
-
-    The campaign driver forces every crashed victim back up before
-    re-adopting, so a converged report with no dark switches is the only
-    acceptable end state: every reachable switch's inventory digest reached
-    the compiled fixed point despite partial-install interruptions (the
-    attempt ledger in the report audits each retry).  Returns
-    human-readable violations.
-    """
-    problems: list[str] = []
-    if not report.converged:
-        problems.append(
-            f"switch re-adoption did not converge in {report.rounds} rounds "
+            f"inventory handshake did not converge in {report.rounds} rounds "
             f"(still drifted: {sorted(report.drifted_nodes)})"
         )
     if report.dark_nodes:
-        problems.append(
-            f"switches dark after forced reboot: {sorted(report.dark_nodes)}"
-        )
+        problems.append(f"switches still dark: {sorted(report.dark_nodes)}")
     return problems
 
 
@@ -895,7 +879,7 @@ def switch_plane_config(runs: int = 216, seed: int = 0) -> ChaosConfig:
     """The CI switch-plane campaign: every service through every switch
     profile, well past the 200-run acceptance floor.  Every run with a
     switch-fault profile finishes with a forced reboot of the victim and a
-    full re-adoption sweep judged by :func:`readopt_problems`, so the
+    full re-adoption sweep judged by :func:`repair_problems`, so the
     report's ``ok`` covers switch recovery too."""
     return ChaosConfig(runs=runs, seed=seed, profiles=SWITCH_PROFILES)
 

@@ -646,7 +646,8 @@ class FastPath:
     ) -> None:
         """Run a compiled group program (the pipeline walk's group dispatch)."""
         if group_id in active:
-            raise GroupError(f"group chaining loop through group {group_id}")
+            message = f"group chaining loop through group {group_id}"
+            raise GroupError(message, "group-loop", group_id)
         program = self._programs.get(group_id)
         if program is None:
             program = self._compile_group(group_id)
@@ -667,9 +668,13 @@ class FastPath:
             return  # no live bucket: drop silently (OF 1.3)
         if kind is GroupType.SELECT:
             if not buckets:
-                raise GroupError(f"SELECT group {group_id} has no buckets")
+                message = f"SELECT group {group_id} has no buckets"
+                raise GroupError(message, "empty-select", group_id)
             index = group.rr_next
             group.rr_next = (index + 1) % len(buckets)
+            if not 0 <= index < len(buckets):
+                message = f"SELECT group {group_id} cursor {index} out of range"
+                raise GroupError(message, "select-cursor", f"{group_id}:{index}")
             buckets[index][1](packet, emit, in_port, active)
             return
         if kind is GroupType.ALL:
@@ -869,7 +874,8 @@ class FastPath:
             if steps > max_steps:
                 raise PipelineError(
                     f"switch {node_id}: pipeline exceeded "
-                    f"{max_steps} steps (rule loop?)"
+                    f"{max_steps} steps (rule loop?)",
+                    "pipeline-limit",
                 )
             fast = self._fast_table(table_id)
             if fast is None:
@@ -879,7 +885,9 @@ class FastPath:
                     missed = True
                     break
                 raise TableError(
-                    f"switch {node_id}: goto to missing table {table_id}"
+                    f"switch {node_id}: goto to missing table {table_id}",
+                    "missing-table",
+                    table_id,
                 )
             compiled = fast.lookup(fields, in_port, metadata)
             if compiled is None:
@@ -900,7 +908,9 @@ class FastPath:
             if goto <= table_id:
                 raise PipelineError(
                     f"switch {node_id}: goto_table must move forward "
-                    f"({table_id} -> {goto})"
+                    f"({table_id} -> {goto})",
+                    "goto-backward",
+                    f"{table_id}->{goto}",
                 )
             if record is not None and not compiled.lookup_safe:
                 record = None

@@ -7,7 +7,11 @@ from dataclasses import replace
 import pytest
 
 from repro.control.channel import ChannelFaultConfig, ControlChannel
-from repro.control.supervisor import RESYNC_UNREACHABLE, SupervisedRuntime
+from repro.control.supervisor import (
+    READOPT_DARK,
+    READOPT_UNREACHABLE,
+    SupervisedRuntime,
+)
 from repro.core.engine import make_engine
 from repro.core.fields import FIELD_SVC
 from repro.core.services.snapshot import SnapshotService
@@ -375,9 +379,9 @@ class TestCrashResync:
         assert snap.nodes == set(range(9))
 
     def test_resync_binds_the_replacement_drain(self, monkeypatch):
-        # The reprogrammed node is bound like every other engine switch:
-        # its arrivals take the new switch's drain entry right away, not
-        # Switch.process until the next supervised call rebinds it.
+        # The switch reprogrammed in place keeps its binding: its arrivals
+        # take its fast path's drain entry right away, not Switch.process
+        # until the next supervised call rebinds it.
         net = Network(grid(3, 3), fast_path=True)
         runtime = SupervisedRuntime(net, mode="compiled")
         runtime.snapshot(0)
@@ -400,7 +404,6 @@ class TestCrashResync:
         report = runtime.resynchronize(0)
         assert report.reprogrammed_nodes == [4]
         (replacement,) = runtime.switches_at(4)
-        assert replacement is not victim
         drained.clear()
         processed.clear()
         net.inject(4, Packet(fields={FIELD_SVC: SnapshotService().service_id}))
@@ -415,18 +418,33 @@ class TestCrashResync:
         report = runtime.resynchronize(0)
         assert report.converged
         assert set(report.unreachable_nodes) == {5}
-        assert all(
-            s.status == RESYNC_UNREACHABLE
-            for s in report.switches
-            if s.node == 5
-        )
+        statuses = {a.status for a in report.attempts if a.node == 5}
+        assert statuses == {READOPT_UNREACHABLE}
+
+    def test_crashed_switch_is_reported_dark_not_replaced(self):
+        # A box that crashed and never rebooted, then garbled, is dark: the
+        # repair reports it rather than reprogramming a dead switch, and
+        # the box stays down.
+        _net, _channel, runtime = self.make_runtime()
+        runtime.snapshot(0)
+        (victim,) = runtime.switches_at(4)
+        victim.crash()
+        table = next(iter(victim.tables.values()))
+        assert table.remove()
+        report = runtime.resynchronize(0)
+        assert report.converged
+        assert report.dark_nodes == [4]
+        assert report.reprogrammed_nodes == []
+        assert {a.status for a in report.attempts if a.node == 4} == {READOPT_DARK}
+        assert runtime.switches_at(4) == [victim]
+        assert victim.down
 
     def test_resync_report_feeds_the_chaos_oracle(self):
-        from repro.net.chaos import resync_problems
+        from repro.net.chaos import repair_problems
 
         _net, channel, runtime = self.make_runtime(ring(5))
         runtime.snapshot(0)
         channel.fail_controller()
         channel.restore_controller()
         report = runtime.resynchronize(0)
-        assert resync_problems(report) == []
+        assert repair_problems(report) == []

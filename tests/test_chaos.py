@@ -211,32 +211,29 @@ class TestControlPlaneOracles:
             assert check_outage_liveness(0, topology) == []
 
     def test_resync_problems_flags_missing_jump(self):
-        from repro.control.supervisor import ResyncReport
-        from repro.net.chaos import resync_problems
+        from repro.control.supervisor import RepairReport
+        from repro.net.chaos import repair_problems
 
-        stuck = ResyncReport(
+        stuck = RepairReport(
             converged=True, rounds=1, epoch_before=5, epoch_after=5,
-            relearned_nodes={0}, relearned_links=set(),
-            topology_degraded=False,
+            relearned_nodes={0},
         )
-        assert any("epoch" in p for p in resync_problems(stuck))
+        assert any("epoch" in p for p in repair_problems(stuck))
 
     def test_resync_problems_flags_divergence(self):
-        from repro.control.supervisor import ResyncReport
-        from repro.net.chaos import resync_problems
+        from repro.control.supervisor import RepairReport
+        from repro.net.chaos import repair_problems
 
-        diverged = ResyncReport(
-            converged=False, rounds=3, epoch_before=5, epoch_after=8,
-            relearned_nodes={0}, relearned_links=set(),
-            topology_degraded=False,
+        diverged = RepairReport(
+            converged=False, rounds=3, drifted_nodes=[2], epoch_before=5,
+            epoch_after=8, relearned_nodes={0},
         )
-        assert any("converge" in p for p in resync_problems(diverged))
-        clean = ResyncReport(
+        assert any("converge" in p for p in repair_problems(diverged))
+        clean = RepairReport(
             converged=True, rounds=1, epoch_before=5, epoch_after=8,
-            relearned_nodes={0}, relearned_links=set(),
-            topology_degraded=False,
+            relearned_nodes={0},
         )
-        assert resync_problems(clean) == []
+        assert repair_problems(clean) == []
 
 
 class TestControlCampaign:
@@ -357,17 +354,18 @@ class TestSwitchPlaneProfiles:
 
 class TestSwitchPlaneOracles:
     def test_readopt_problems_flags_divergence_and_dark(self):
-        from repro.control.supervisor import ReadoptReport
-        from repro.net.chaos import readopt_problems
+        from repro.control.supervisor import RepairReport
+        from repro.net.chaos import repair_problems
 
-        diverged = ReadoptReport(
+        diverged = RepairReport(
             converged=False, rounds=4, drifted_nodes=[2]
         )
-        assert any("converge" in p for p in readopt_problems(diverged))
-        dark = ReadoptReport(converged=True, rounds=1, dark_nodes=[3])
-        assert any("dark" in p for p in readopt_problems(dark))
-        clean = ReadoptReport(converged=True, rounds=1)
-        assert readopt_problems(clean) == []
+        assert any("converge" in p for p in repair_problems(diverged))
+        dark = RepairReport(converged=True, rounds=1, dark_nodes=[3])
+        assert any("dark" in p for p in repair_problems(dark))
+        # A readopt report carries no epoch jump, and needs none.
+        clean = RepairReport(converged=True, rounds=1)
+        assert repair_problems(clean) == []
 
 
 class TestSwitchCampaign:

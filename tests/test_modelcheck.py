@@ -571,15 +571,23 @@ PIPELINE_FAULTS = {
 def test_structural_faults_name_their_kind(error):
     """The one pipeline walk raises each structural fault once: the checker's
     step reports it as ``kind:detail`` (the MC008 text), and
-    :meth:`Switch.process` raises it with its type and message."""
+    :meth:`Switch.process` raises it with its type, message, kind and detail
+    — on the reference walk and on the compiled fast path alike."""
     outcome = modelcheck.step_switch(
         _faulty_switch(error), 1, (), (), lambda port: True, {}
     )
     assert outcome.error == error
     exc_type, message = PIPELINE_FAULTS[error]
-    with pytest.raises(exc_type) as raised:
-        _faulty_switch(error).process(Packet(), 1)
-    assert str(raised.value) == message
+    kind, _, detail = error.partition(":")
+    for fast_path in (False, True):
+        switch = _faulty_switch(error)
+        if fast_path:
+            switch.enable_fast_path()
+        with pytest.raises(exc_type) as raised:
+            switch.process(Packet(), 1)
+        assert str(raised.value) == message, f"fast_path={fast_path}"
+        got = (raised.value.kind, raised.value.detail)
+        assert got == (kind, detail), f"fast_path={fast_path}"
 
 
 # --------------------------------------------------------------------- #
