@@ -992,6 +992,13 @@ def walk_network(
     reset = {"metadata": (0, full_mask(METADATA_WIDTH))}
     trigger = Cube(LOCAL_PORT, {**constraints, **reset})
 
+    # Where each physical egress lands, looked up once per walk rather
+    # than through Topology.neighbor per emission.
+    peers = {
+        (node, port): edge.other(node)
+        for node in topology.nodes()
+        for port, edge in topology.ports(node)
+    }
     result = WalkResult(root=root)
     worklist: deque[tuple[int, int, Cube]] = deque([(root, LOCAL_PORT, trigger)])
     seen: set[tuple[int, int, tuple]] = set()
@@ -1015,7 +1022,7 @@ def walk_network(
             if not is_physical_port(port):
                 continue
             result.swept.add((node, port))
-            peer = topology.neighbor(node, port)
+            peer = peers.get((node, port))
             if peer is None:
                 continue  # nonexistent port: structurally reported elsewhere
             token = (peer.node, peer.port, token_of(output))

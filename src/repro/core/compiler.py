@@ -39,7 +39,8 @@ that degree through ``Network.compile_plans`` — so a rule costs one match,
 one instruction set (often a shared one) and one entry, and a bucket one
 object over a shared action tuple.  Rules and groups collect in lists and
 reach the switch in a single
-:meth:`~repro.openflow.switch.Switch.load_program`.
+:meth:`~repro.openflow.switch.Switch.load_program`; the sweep's
+fast-failover groups go deferred, built by the group table on first read.
 
 Known fidelity limits (documented in DESIGN.md):
 
@@ -105,7 +106,7 @@ from repro.openflow.actions import (
     SetField,
 )
 from repro.openflow.flowtable import FlowEntry
-from repro.openflow.group import Bucket, Group, GroupType
+from repro.openflow.group import DeferredFailoverGroup, Group
 from repro.openflow.match import FieldTest, Match, encode_range
 from repro.openflow.packet import CONTROLLER_PORT, IN_PORT, LOCAL_PORT
 from repro.openflow.switch import Switch
@@ -197,7 +198,7 @@ class Codegen:
         deg: int,
         service: Service,
         tables: dict[int, list[FlowEntry]],
-        groups: list[Group],
+        groups: list[Group | DeferredFailoverGroup],
         plans: dict,
         table_base: int = 0,
         group_base: int = 0,
@@ -480,8 +481,10 @@ class ServiceCodegen:
         bucket *does* depends on the node, and is asked of the hook
         providers once per port: ``probe[q]`` sends to port *q*,
         ``probe_root[q]`` is the root's very first send, ``parent[p]``
-        returns to parent port *p*.  A row then costs one match, one entry,
-        one group and one bucket per listed port, all over those tuples.
+        returns to parent port *p*.  A row then costs one match, one entry
+        and one :class:`DeferredFailoverGroup` over those tuples: a
+        traversal runs few of a node's O(Δ²) rows, and the group table
+        builds a row's group and buckets only when something first reads it.
         """
         ports = range(1, self.deg + 1)
         forward = cg.forward
@@ -519,9 +522,7 @@ class ServiceCodegen:
                 tests = (sweep_is[s], par_is[0], *extra)
             if listed:
                 sends = probe if s else probe_root
-                buckets = [Bucket(sends[q], q) for q in listed]
-                buckets.append(Bucket(terminal))
-                groups.append(Group(gid, GroupType.FF, buckets))
+                groups.append(DeferredFailoverGroup(gid, listed, sends, terminal))
             else:
                 # No ports left to try: act through table actions.
                 instructions = Instructions(terminal)
@@ -1142,7 +1143,7 @@ def _emit_service(
     node: int,
     service: Service,
     tables: dict[int, list[FlowEntry]],
-    groups: list[Group],
+    groups: list[Group | DeferredFailoverGroup],
     table_base: int = 0,
     group_base: int = 0,
 ) -> None:
@@ -1187,7 +1188,7 @@ def compile_service(
     """
     switch = _bare_switch(network, node, fast_path)
     tables: dict[int, list[FlowEntry]] = {}
-    groups: list[Group] = []
+    groups: list[Group | DeferredFailoverGroup] = []
     _emit_service(network, node, service, tables, groups)
     switch.load_program(tables, groups)
     return switch
@@ -1219,7 +1220,7 @@ def compile_services(
     switch = _bare_switch(network, node, fast_path)
     svc_dispatch: list[FlowEntry] = []
     tables: dict[int, list[FlowEntry]] = {0: svc_dispatch}
-    groups: list[Group] = []
+    groups: list[Group | DeferredFailoverGroup] = []
     for index, service in enumerate(services):
         table_base = 1 + index * SERVICE_BLOCK_TABLES
         svc_dispatch.append(

@@ -25,14 +25,18 @@ pairs the entry tests (``mask None`` = exact match on all bits).  Tests with
 the signature.  For each signature the compiler builds one hash bucket map::
 
     key = tuple(context[field] & mask for field, mask in signature)
-    buckets[key] -> candidates sorted by (-priority, seq)
+    buckets[key] -> the first entry of that key in match order
 
 Because a signature covers *all* of an entry's tests, a key hit is exactly a
-match hit.  Entries with an empty signature (table-miss wildcards, default
-gotos) form the always-matching residue list.  A lookup probes each
-signature's map once plus the residue head and picks the best candidate by
-``(-priority, seq)`` — the same priority-then-insertion-order rule the
-interpreter documents.
+match hit, and a later entry with the same signature and key has the same
+match and loses the ``(-priority, seq)`` tie-break: no lookup can return
+it, so it is never indexed.  Entries with an empty signature (table-miss
+wildcards, default gotos) always match; only the first of them, the
+residue head, is kept.  A lookup probes each signature's map once plus the
+residue head and picks the best hit by ``(-priority, seq)`` — the same
+priority-then-insertion-order rule the interpreter documents.  A slot holds
+the bare :class:`FlowEntry` until its first hit, which makes the
+:class:`CompiledEntry` record and stores it in place.
 
 One lookup per hop
 ------------------
@@ -49,7 +53,8 @@ Invalidation
 ------------
 
 Compiled tables are cached per ``(table, FlowTable.version)``; compiled group
-programs per ``GroupTable.version``; the chain cache per switch program
+programs (each bucket compiled on its first selection) per
+``GroupTable.version``; the chain cache per switch program
 generation (:attr:`Switch.program_generation`).  Any table mutation (add /
 remove / modify) or group addition bumps the respective version and the
 generation, and the stale artifacts are dropped lazily on the next packet.
@@ -128,12 +133,13 @@ def _lookup_safe(actions) -> bool:
 
 
 class CompiledEntry:
-    """One flow entry as the index holds it.
+    """One flow entry as the index holds it once a lookup has hit it.
 
-    Building the index fills in what a *lookup* needs (``sort_key``) and
-    the instruction fields the pipeline loop reads (``goto``,
-    ``write_metadata``); the instruction closures are compiled the first
-    time the entry is matched.  Until then an entry built with a *resolve*
+    The record is made on the entry's first hit (see :class:`FastTable`)
+    and fills in what a *lookup* needs (``sort_key``) and the instruction
+    fields the pipeline loop reads (``goto``, ``write_metadata``); the
+    instruction closures are compiled when the entry is first run.  Until
+    then an entry built with a *resolve*
     function is **its own single op**: ``ops`` is ``(self,)``, and calling
     it has *resolve* compile the real op tuple, swap it into ``ops`` and
     set ``lookup_safe``, then runs that tuple.  The pipeline loops iterate
@@ -252,29 +258,49 @@ def _shape_plan(
 
 
 class FastTable:
-    """One flow table compiled to signature-indexed hash dispatch."""
+    """One flow table compiled to signature-indexed hash dispatch.
 
-    __slots__ = ("table_id", "groups", "residue")
+    Every slot (a bucket key's head, the residue head) holds the bare
+    :class:`FlowEntry` until something reads it as a record: then the
+    table's *make* turns it into a :class:`CompiledEntry` and stores that
+    in place, so a table pays records only for the rows it hits.
+    """
+
+    __slots__ = ("table_id", "groups", "residue", "_make")
 
     def __init__(
         self,
         table_id: int,
         groups: list[tuple[_GetFn, dict, tuple]],
-        residue: list[CompiledEntry],
+        residue: FlowEntry | CompiledEntry | None,
+        make: Callable[[FlowEntry], CompiledEntry],
     ) -> None:
         self.table_id = table_id
         #: One (key_fn, buckets, signature) triple per distinct match
         #: signature; the signature is kept for the union chain key.
         self.groups = groups
-        #: Always-matching entries (empty signature), best first.
+        #: The first always-matching entry (empty signature), if any.
         self.residue = residue
+        self._make = make
 
     def entries(self) -> Iterator[CompiledEntry]:
-        """Every compiled entry of the table (no particular order)."""
+        """The record of every entry a lookup can return (no particular
+        order), made on the way where it is not made yet.
+
+        Shadowed same-key entries and residue entries behind the head are
+        not indexed, so they are not here either.
+        """
+        make = self._make
         for _key_fn, buckets, _signature in self.groups:
-            for candidates in buckets.values():
-                yield from candidates
-        yield from self.residue
+            for key, head in buckets.items():
+                if type(head) is not CompiledEntry:
+                    head = buckets[key] = make(head)
+                yield head
+        head = self.residue
+        if head is not None:
+            if type(head) is not CompiledEntry:
+                head = self.residue = make(head)
+            yield head
 
     def lookup(
         self, fields: dict, in_port: int, metadata: int
@@ -282,17 +308,22 @@ class FastTable:
         """Best matching compiled entry, or None (table miss).
 
         Equivalent to :meth:`FlowTable.lookup` minus the counter bump (the
-        caller bumps, so a pure lookup stays side-effect free for tests).
+        caller bumps, so a lookup moves no observable state for tests); a
+        key's first hit only makes its record.
         """
         best: CompiledEntry | None = None
         for key_fn, buckets, _signature in self.groups:
-            candidates = buckets.get(key_fn(fields, in_port, metadata))
-            if candidates is not None:
-                head = candidates[0]
+            key = key_fn(fields, in_port, metadata)
+            head = buckets.get(key)
+            if head is not None:
+                if type(head) is not CompiledEntry:
+                    head = buckets[key] = self._make(head)
                 if best is None or head.sort_key < best.sort_key:
                     best = head
-        if self.residue:
-            head = self.residue[0]
+        head = self.residue
+        if head is not None:
+            if type(head) is not CompiledEntry:
+                head = self.residue = self._make(head)
             if best is None or head.sort_key < best.sort_key:
                 best = head
         return best
@@ -304,24 +335,26 @@ def compile_table(
 ) -> FastTable:
     """Compile *table* into a :class:`FastTable`: the signature index only.
 
-    *entry_factory* builds the per-entry record; the default produces
-    lookup-only records (no instruction closures), which is what the fuzz
-    harness uses.  :class:`FastPath` passes a factory whose records compile
-    their closures on first hit.
+    *entry_factory* makes the :class:`CompiledEntry` record of an entry
+    when it is first hit; the default makes lookup-only records (no
+    instruction closures), which is what the fuzz harness uses.
+    :class:`FastPath` passes a factory whose records compile their closures
+    on first hit.
 
     A table holds a handful of distinct test *shapes* (which fields, under
     which masks) however many entries it has, so the sorted signature and
     the key-field order are worked out once per shape and an entry costs
-    its record plus two dict probes.
+    two dict probes and one ``setdefault``.  Entries arrive in match order,
+    so the first entry of a key is the one every lookup of that key prefers.
     """
     shapes: dict[tuple, tuple] = {}
     by_signature: dict[tuple, dict] = {}
-    residue: list[CompiledEntry] = []
+    residue: FlowEntry | None = None
     for entry in table.entries():
-        compiled = entry_factory(entry)
         tests = entry.match.tests
         if not tests:
-            residue.append(compiled)
+            if residue is None:
+                residue = entry
             continue
         shape = (tuple(tests), tuple([test.mask for test in tests.values()]))
         plan = shapes.get(shape)
@@ -329,7 +362,8 @@ def compile_table(
             plan = shapes[shape] = _shape_plan(*shape)
         signature, key_fields = plan
         if not signature:
-            residue.append(compiled)
+            if residue is None:
+                residue = entry
             continue
         if len(key_fields) == 1:
             key = tests[key_fields[0]].value
@@ -338,19 +372,13 @@ def compile_table(
         buckets = by_signature.get(signature)
         if buckets is None:
             buckets = by_signature[signature] = {}
-        candidates = buckets.get(key)
-        if candidates is None:
-            buckets[key] = [compiled]
-        else:
-            candidates.append(compiled)
+        buckets.setdefault(key, entry)
 
-    # Entries arrive in match order, so every candidate list and the
-    # residue are already sorted by (-priority, seq).
     groups: list[tuple[_GetFn, dict, tuple]] = [
         (_make_key_fn(signature), buckets, signature)
         for signature, buckets in by_signature.items()
     ]
-    return FastTable(table.table_id, groups, residue)
+    return FastTable(table.table_id, groups, residue, entry_factory)
 
 
 # --------------------------------------------------------------------- #
@@ -359,25 +387,29 @@ def compile_table(
 
 
 class _GroupProgram:
-    """One group compiled to per-bucket closures (type dispatch hoisted)."""
+    """One group compiled to per-bucket closures (type dispatch hoisted).
 
-    __slots__ = ("group", "group_type", "buckets", "has_nested")
+    A bucket's closure is compiled the first time the bucket is selected:
+    a fast-failover group almost always runs its first bucket, so the
+    others are never compiled on a failure-free traversal.
+    """
 
-    def __init__(
-        self,
-        group: Group,
-        buckets: list[tuple[int | None, OpFn]],
-    ) -> None:
+    __slots__ = ("group", "group_type", "watch", "runs", "has_nested")
+
+    def __init__(self, group: Group) -> None:
         self.group = group
         self.group_type = group.group_type
-        #: (watch_port, run_bucket) pairs, in bucket order.
-        self.buckets = buckets
+        buckets = group.buckets
+        #: Each bucket's watch port, in bucket order.
+        self.watch = tuple([bucket.watch_port for bucket in buckets])
+        #: Each bucket's compiled run, None until it is first selected.
+        self.runs: list[OpFn | None] = [None] * len(buckets)
         #: Whether any bucket chains into another group.  Only chained
         #: executions consult the active set, so a chain-free program skips
         #: the per-execution frozenset union.
         self.has_nested = any(
             type(action) is GroupAction
-            for bucket in group.buckets
+            for bucket in buckets
             for action in bucket.actions
         )
 
@@ -449,13 +481,14 @@ class FastPath:
         self._generation = -1
 
     def warm(self) -> None:
-        """Eagerly compile every table index, entry closure and group
-        program.
+        """Eagerly compile every table index, entry record and closure,
+        group program and bucket.
 
         Compilation is otherwise lazy (a table's index on its first packet,
-        an entry's closures on its first hit, a group's program on its
-        first execution); benches and latency-sensitive starts call this so
-        the hot loop never compiles.  After it, no entry is left
+        an entry's record and closures on its first hit, a group's program
+        on its first execution and a bucket on its first selection); benches
+        and latency-sensitive starts call this so the hot loop never
+        compiles.  After it, no reachable entry and no bucket is left
         unresolved.
         """
         self._sync()
@@ -464,9 +497,14 @@ class FastPath:
             for compiled in fast.entries():
                 if not compiled.resolved:
                     self._resolve(compiled)
+        programs = self._programs
         for group in self._switch.groups.groups():
-            if group.group_id not in self._programs:
-                self._compile_group(group.group_id)
+            program = programs.get(group.group_id)
+            if program is None:
+                program = self._compile_group(group.group_id)
+            for index, run in enumerate(program.runs):
+                if run is None:
+                    self._compile_bucket(program, index)
 
     def _check_groups(self) -> None:
         version = self._switch.groups.version
@@ -620,21 +658,28 @@ class FastPath:
 
     def _compile_group(self, group_id: int) -> _GroupProgram:
         group = self._switch.groups.get(group_id)  # GroupError if unknown
-        buckets: list[tuple[int | None, OpFn]] = []
-        for bucket in group.buckets:
-            ops: list[OpFn] = []
-            for action in bucket.actions:
-                ops.extend(self._compile_action(action))
-
-            def run_bucket(pkt, emit, in_port, active, b=bucket, os=tuple(ops)):
-                b.packet_count += 1
-                for op in os:
-                    op(pkt, emit, in_port, active)
-
-            buckets.append((bucket.watch_port, run_bucket))
-        program = _GroupProgram(group, buckets)
-        self._programs[group_id] = program
+        program = self._programs[group_id] = _GroupProgram(group)
         return program
+
+    def _compile_bucket(self, program: _GroupProgram, index: int) -> OpFn:
+        """Compile bucket *index* of *program* in place and return its run.
+
+        Group actions inside resolve against the group table as it is now,
+        like an entry's on its first hit: any group-table change since the
+        program was made would have dropped the program.
+        """
+        bucket = program.group.buckets[index]
+        ops: list[OpFn] = []
+        for action in bucket.actions:
+            ops.extend(self._compile_action(action))
+
+        def run_bucket(pkt, emit, in_port, active, b=bucket, os=tuple(ops)):
+            b.packet_count += 1
+            for op in os:
+                op(pkt, emit, in_port, active)
+
+        program.runs[index] = run_bucket
+        return run_bucket
 
     def _execute_group(
         self,
@@ -656,34 +701,45 @@ class FastPath:
         if program.has_nested:
             active = active | {group_id}
         kind = program.group_type
-        buckets = program.buckets
+        runs = program.runs
         if kind is GroupType.FF:
             # Liveness is consulted per execution — port flips take effect
             # immediately, the same path as the interpreter's failover.
             live = self._switch._port_live
-            for watch_port, run in buckets:
+            for index, watch_port in enumerate(program.watch):
                 if watch_port is None or live(watch_port):
+                    run = runs[index]
+                    if run is None:
+                        run = self._compile_bucket(program, index)
                     run(packet, emit, in_port, active)
                     return
             return  # no live bucket: drop silently (OF 1.3)
         if kind is GroupType.SELECT:
-            if not buckets:
+            if not runs:
                 message = f"SELECT group {group_id} has no buckets"
                 raise GroupError(message, "empty-select", group_id)
             index = group.rr_next
-            group.rr_next = (index + 1) % len(buckets)
-            if not 0 <= index < len(buckets):
+            group.rr_next = (index + 1) % len(runs)
+            if not 0 <= index < len(runs):
                 message = f"SELECT group {group_id} cursor {index} out of range"
                 raise GroupError(message, "select-cursor", f"{group_id}:{index}")
-            buckets[index][1](packet, emit, in_port, active)
+            run = runs[index]
+            if run is None:
+                run = self._compile_bucket(program, index)
+            run(packet, emit, in_port, active)
             return
         if kind is GroupType.ALL:
-            for _watch, run in buckets:
+            for index, run in enumerate(runs):
+                if run is None:
+                    run = self._compile_bucket(program, index)
                 run(packet.copy(), emit, in_port, active)
             return
         if kind is GroupType.INDIRECT:
-            if buckets:
-                buckets[0][1](packet, emit, in_port, active)
+            if runs:
+                run = runs[0]
+                if run is None:
+                    run = self._compile_bucket(program, 0)
+                run(packet, emit, in_port, active)
             return
         raise GroupError(f"unsupported group type {kind}")  # pragma: no cover
 

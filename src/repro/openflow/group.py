@@ -93,21 +93,64 @@ def first_live_bucket(
     return None
 
 
+class DeferredFailoverGroup:
+    """A fast-failover group handed to :meth:`GroupTable.load` as its id
+    and the tuples it is built from, and built on its first read.
+
+    :meth:`build` makes one bucket per listed port *q*, running
+    ``sends[q]`` while *q* is live, then the always-live *terminal* bucket
+    — the shape of the compiler's sweep groups.  A program whose traversals
+    read few of its groups never builds the rest.
+    """
+
+    __slots__ = ("group_id", "ports", "sends", "terminal")
+
+    def __init__(
+        self,
+        group_id: int,
+        ports: tuple[int, ...],
+        sends: Sequence[Sequence[Action]],
+        terminal: Sequence[Action],
+    ) -> None:
+        self.group_id = group_id
+        self.ports = ports
+        self.sends = sends
+        self.terminal = terminal
+
+    def build(self) -> Group:
+        """The group itself, fresh (counters at zero)."""
+        sends = self.sends
+        buckets = [Bucket(sends[q], q) for q in self.ports]
+        buckets.append(Bucket(self.terminal))
+        return Group(self.group_id, GroupType.FF, buckets)
+
+
 class GroupTable:
-    """All groups of one switch."""
+    """All groups of one switch.
+
+    Groups loaded as :class:`DeferredFailoverGroup` are built on first
+    read.  Building is not a mutation: it leaves :attr:`version` (and so
+    the switch's program generation, its fast path and its cached
+    inventory digest) alone, since the built group is exactly what was
+    loaded.  Membership, size and duplicate-id checks work on ids and
+    build nothing.
+    """
 
     #: Called after every mutation (see :attr:`Switch.program_generation`).
     on_mutate: Callable[[], None] | None = None
 
     def __init__(self) -> None:
-        self._groups: dict[int, Group] = {}
+        self._groups: dict[int, Group | DeferredFailoverGroup] = {}
+        #: How many values of ``_groups`` are still deferred.
+        self._deferred = 0
         self._version = 0
 
     @property
     def version(self) -> int:
         """Mutation counter; the fast path invalidates compiled group
         programs when it changes.  Port-liveness flips are *not* mutations
-        (failover consults the liveness oracle per packet)."""
+        (failover consults the liveness oracle per packet), and neither is
+        building a deferred group."""
         return self._version
 
     def _mutated(self) -> None:
@@ -126,27 +169,42 @@ class GroupTable:
         self._mutated()
         return group
 
-    def load(self, groups: Sequence[Group]) -> None:
+    def load(self, groups: Sequence[Group | DeferredFailoverGroup]) -> None:
         """Add *groups*, in order, as one mutation (one version bump).
 
         Equivalent to :meth:`add` on each group in turn, including where a
         duplicate id stops it: the groups before the duplicate stay added.
+        A :class:`DeferredFailoverGroup` takes its place in that order and
+        is built on first read.
         """
+        table = self._groups
         try:
             for group in groups:
-                if group.group_id in self._groups:
-                    raise GroupError(f"duplicate group id {group.group_id}")
-                self._groups[group.group_id] = group
+                group_id = group.group_id
+                if group_id in table:
+                    raise GroupError(f"duplicate group id {group_id}")
+                table[group_id] = group
+                if type(group) is DeferredFailoverGroup:
+                    self._deferred += 1
         finally:
             self._mutated()
 
+    def _build(self, deferred: DeferredFailoverGroup) -> Group:
+        """Swap *deferred* for the group it builds (not a mutation)."""
+        group = self._groups[deferred.group_id] = deferred.build()
+        self._deferred -= 1
+        return group
+
     def get(self, group_id: int) -> Group:
         try:
-            return self._groups[group_id]
+            group = self._groups[group_id]
         except KeyError:
             raise GroupError(
                 f"unknown group id {group_id}", "unknown-group", group_id
             ) from None
+        if self._deferred and type(group) is DeferredFailoverGroup:
+            return self._build(group)
+        return group
 
     def __contains__(self, group_id: int) -> bool:
         return group_id in self._groups
@@ -154,5 +212,10 @@ class GroupTable:
     def __len__(self) -> int:
         return len(self._groups)
 
-    def groups(self) -> Sequence[Group]:
+    def groups(self) -> list[Group]:
+        """Every group in insertion order, deferred ones built."""
+        if self._deferred:
+            for group in list(self._groups.values()):
+                if type(group) is DeferredFailoverGroup:
+                    self._build(group)
         return list(self._groups.values())

@@ -12,6 +12,7 @@ from repro.openflow.errors import GroupError, InstallError, PipelineError, Table
 from repro.openflow.flowtable import FlowEntry, FlowTable
 from repro.openflow.group import (
     Bucket,
+    DeferredFailoverGroup,
     Group,
     GroupTable,
     GroupType,
@@ -170,10 +171,11 @@ class Switch:
     def load_program(
         self,
         tables: Mapping[int, Sequence[FlowEntry]],
-        groups: Sequence[Group] = (),
+        groups: Sequence[Group | DeferredFailoverGroup] = (),
     ) -> None:
         """Install a whole program in one step: every table's entries (in
-        list order), then *groups* (in order).
+        list order), then *groups* (in order; a deferred group is built on
+        first read, see :class:`GroupTable`).
 
         The one way programs reach a switch — the compiler and
         :meth:`adopt_program` both end here — and equivalent to

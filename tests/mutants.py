@@ -27,6 +27,14 @@ check that must catch it:
   switch's own pipeline walk (``openflow.switch.walk``) and shares its
   fast-failover bucket choice (``openflow.group.first_live_bucket``), so a
   bug in either must turn that verdict, not only the switch's behaviour.
+* ``tiebreak`` — ``tests/test_fastpath_tiebreak.py``: the fast path's
+  index keeps the first entry of a key, the one the ``(-priority, seq)``
+  tie-break prefers; an index that keeps the last forwards a same-priority
+  overlap out of the later entry's port.
+* ``lazygroups`` — ``tests/test_lazy_program.py::
+  TestDeferredReadIsNotAMutation``: building a deferred group on first
+  read must not count as a program change, or every first read would
+  recompile the fast path and drop the cached inventory digest.
 
 The script first checks that every anchor occurs exactly once and that every
 killer passes on the unmutated copy, then applies each mutant alone and runs
@@ -178,6 +186,21 @@ MUTANTS = (
         "            env.set_cursor(group, index % len(buckets))\n",
         "modelcheck",
     ),
+    Mutant(
+        "TIEBREAK", "repro/openflow/fastpath.py",
+        "        buckets.setdefault(key, entry)\n",
+        "        buckets[key] = entry\n",
+        "tiebreak",
+    ),
+    Mutant(
+        "GROUPREAD", "repro/openflow/group.py",
+        "        self._deferred -= 1\n"
+        "        return group\n",
+        "        self._deferred -= 1\n"
+        "        self._mutated()\n"
+        "        return group\n",
+        "lazygroups",
+    ),
 )
 
 #: killer -> (command, the output line prefix that marks a real kill: a
@@ -211,6 +234,18 @@ KILLERS = {
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          str(ROOT / "tests" / "test_lint_shapes.py") + "::TestWalkMemoIsExact"],
         "E       AssertionError: memoised step differs",
+    ),
+    "tiebreak": (
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         str(ROOT / "tests" / "test_fastpath_tiebreak.py")
+         + "::test_tie_break_identical_on_both_switch_engines"],
+        "E           AssertionError: fast_path=True",
+    ),
+    "lazygroups": (
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         str(ROOT / "tests" / "test_lazy_program.py")
+         + "::TestDeferredReadIsNotAMutation"],
+        "E       AssertionError: reading a deferred group moved",
     ),
 }
 
