@@ -35,12 +35,17 @@ A program is *assembled*, not derived rule by rule.  :class:`Codegen` makes
 every loop-invariant piece once — the per-node field tests and per-port hook
 action tuples ("atoms"), and per degree the row plan of the big tables
 (:func:`sweep_rows`, the blackhole verify tables), shared by every node of
-that degree through ``Network.compile_plans`` — so a rule costs one match,
-one instruction set (often a shared one) and one entry, and a bucket one
-object over a shared action tuple.  Rules and groups collect in lists and
-reach the switch in a single
-:meth:`~repro.openflow.switch.Switch.load_program`; the sweep's
-fast-failover groups go deferred, built by the group table on first read.
+that degree through ``Network.compile_plans``.  A rule is then declared,
+not built: each table is a :class:`~repro.openflow.deferred.DeferredTable`
+that gets, per rule, its signature's key, its priority and a recipe that
+makes its match, instructions and cookie from the atoms when something
+first reads the row.  The tables and groups reach the switch in a single
+:meth:`~repro.openflow.switch.Switch.load_program`; the fast path builds a
+row on its key's first hit, every other reader materialises the table, and
+the sweep's fast-failover groups go deferred too, built by the group table
+on first read.  A switch without a fast path gets
+:class:`~repro.openflow.deferred.EagerTable` s instead, the same recipes
+run at once: each of its readers reads whole tables anyway.
 
 Known fidelity limits (documented in DESIGN.md):
 
@@ -52,6 +57,7 @@ Known fidelity limits (documented in DESIGN.md):
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from repro.core.fields import (
@@ -105,7 +111,7 @@ from repro.openflow.actions import (
     PushLabel,
     SetField,
 )
-from repro.openflow.flowtable import FlowEntry
+from repro.openflow.deferred import DeferredTable, EagerTable, RowParts
 from repro.openflow.group import DeferredFailoverGroup, Group
 from repro.openflow.match import FieldTest, Match, encode_range
 from repro.openflow.packet import CONTROLLER_PORT, IN_PORT, LOCAL_PORT
@@ -170,10 +176,13 @@ class Codegen:
     """Per-node emission context shared by the service code generators.
 
     A node's program is *assembled* here, not installed: rules collect in
-    per-table entry lists and groups in one list (both owned by the caller,
-    so several service blocks can fill the same program), and the whole
-    program reaches the switch in one
-    :meth:`~repro.openflow.switch.Switch.load_program`.
+    per-table :class:`~repro.openflow.deferred.DeferredTable` s (or
+    :class:`~repro.openflow.deferred.EagerTable` s) and groups
+    in one list (both owned by the caller, so several service blocks can
+    fill the same program), and the whole program reaches the switch in one
+    :meth:`~repro.openflow.switch.Switch.load_program`.  The built-in
+    generators declare each rule by its key and a recipe (:meth:`rows`);
+    :meth:`add` and :meth:`install` take a ready-made match.
 
     The context also holds the **atoms** rules are assembled from — every
     :class:`FieldTest` and per-port action tuple a node's O(Δ²) rules and
@@ -197,7 +206,7 @@ class Codegen:
         node: int,
         deg: int,
         service: Service,
-        tables: dict[int, list[FlowEntry]],
+        tables: dict[int, DeferredTable | EagerTable],
         groups: list[Group | DeferredFailoverGroup],
         plans: dict,
         table_base: int = 0,
@@ -259,10 +268,11 @@ class Codegen:
             meta,
         )
 
-    def entries(self, table: int) -> list[FlowEntry]:
-        """The entry list of logical *table* (for emitters that append
-        whole row plans; a list left empty creates no table)."""
-        return self.tables.setdefault(self.table_base + table, [])
+    def rows(self, table: int) -> DeferredTable | EagerTable:
+        """The rows of logical *table* (a table left without rows creates no
+        table); *tables* makes the kind the switch reads (see
+        :func:`_program_tables`)."""
+        return self.tables[self.table_base + table]
 
     def add(
         self,
@@ -272,8 +282,9 @@ class Codegen:
         priority: int = 0,
         cookie: str = "",
     ) -> None:
-        """Append one rule (ready-made instructions) to logical *table*."""
-        self.entries(table).append(FlowEntry(match, instructions, priority, cookie))
+        """Append one rule (ready-made match and instructions) to logical
+        *table*."""
+        self.rows(table).add_rule(match, instructions, priority, cookie)
 
     def install(
         self,
@@ -406,54 +417,63 @@ class ServiceCodegen:
         cg.install(T_DISPATCH, Match(), goto=T_CLASSIFY, cookie="dispatch:default")
 
     def emit_classify(self, cg: Codegen) -> None:
-        """T_CLASSIFY: the generic Algorithm 1 state decode."""
+        """T_CLASSIFY: the generic Algorithm 1 state decode.
+
+        The hook providers are asked here, once per port; each rule is
+        declared by its key and made from their answers when first read.
+        """
         after = T_BID if self.uses_bid_table else T_SWEEP
         in_port, cur, par = cg.in_port_is, cg.cur_is, cg.par_is
+        rows = cg.rows(T_CLASSIFY)
+        arrival = (("in_port", None), (cg.cur, None))
+
+        def trigger(actions) -> RowParts:
+            return (
+                Match(**{FIELD_START: 0}),
+                cg.instructions(
+                    (SetField(FIELD_START, 1), *actions), after, meta_sweep(0)
+                ),
+                "classify:trigger",
+            )
+
+        def first_visit(arg) -> RowParts:
+            p, actions = arg
+            return (
+                Match((cur[0], in_port[p])),
+                cg.instructions((SetField(cg.par, p), *actions), after, meta_sweep(1)),
+                f"classify:first_visit:{p}",
+            )
+
+        def advance_root(arg) -> RowParts:
+            c, actions = arg
+            return (
+                Match((cur[c], in_port[c], par[0])),
+                cg.instructions(actions, T_SWEEP, meta_sweep(c + 1)),
+                f"classify:advance_root:{c}",
+            )
+
+        def advance(arg) -> RowParts:
+            c, actions = arg
+            return (
+                Match((cur[c], in_port[c])),
+                cg.instructions(actions, T_SWEEP, meta_sweep(c + 1)),
+                f"classify:advance:{c}",
+            )
+
         # Trigger (start = 0): this node becomes the DFS root.
-        cg.install(
-            T_CLASSIFY,
-            Match(**{FIELD_START: 0}),
-            actions=[SetField(FIELD_START, 1)] + self.trigger_actions(),
-            meta=meta_sweep(0),
-            goto=after,
-            priority=100,
-            cookie="classify:trigger",
-        )
+        rows.add(((FIELD_START, None),), 0, 100, trigger, self.trigger_actions())
         self.emit_classify_overrides(cg)
         # First visit (cur = 0): adopt the arrival port as parent.
         for p in range(1, self.deg + 1):
-            cg.install(
-                T_CLASSIFY,
-                Match((cur[0], in_port[p])),
-                actions=[SetField(cg.par, p)] + self.first_visit_actions(p),
-                meta=meta_sweep(1),
-                goto=after,
-                priority=50,
-                cookie=f"classify:first_visit:{p}",
-            )
+            rows.add(arrival, (p, 0), 50, first_visit, (p, self.first_visit_actions(p)))
         # Advance (in = cur): continue the sweep at cur + 1.
+        root_arrival = (("in_port", None), (cg.cur, None), (cg.par, None))
         for c in range(1, self.deg + 1):
             root_actions = self.advance_actions(c, root=True)
             plain_actions = self.advance_actions(c, root=False)
             if root_actions != plain_actions:
-                cg.install(
-                    T_CLASSIFY,
-                    Match((cur[c], in_port[c], par[0])),
-                    actions=root_actions,
-                    meta=meta_sweep(c + 1),
-                    goto=T_SWEEP,
-                    priority=51,
-                    cookie=f"classify:advance_root:{c}",
-                )
-            cg.install(
-                T_CLASSIFY,
-                Match((cur[c], in_port[c])),
-                actions=plain_actions,
-                meta=meta_sweep(c + 1),
-                goto=T_SWEEP,
-                priority=50,
-                cookie=f"classify:advance:{c}",
-            )
+                rows.add(root_arrival, (c, c, 0), 51, advance_root, (c, root_actions))
+            rows.add(arrival, (c, c), 50, advance, (c, plain_actions))
         self.emit_bounce_rules(cg)
 
     def emit_classify_overrides(self, cg: Codegen) -> None:
@@ -481,10 +501,15 @@ class ServiceCodegen:
         bucket *does* depends on the node, and is asked of the hook
         providers once per port: ``probe[q]`` sends to port *q*,
         ``probe_root[q]`` is the root's very first send, ``parent[p]``
-        returns to parent port *p*.  A row then costs one match, one entry
-        and one :class:`DeferredFailoverGroup` over those tuples: a
-        traversal runs few of a node's O(Δ²) rows, and the group table
-        builds a row's group and buckets only when something first reads it.
+        returns to parent port *p*.  A row then costs its key and one
+        :class:`DeferredFailoverGroup` over those tuples: a traversal runs
+        few of a node's O(Δ²) rows, the table builds a row's match and entry
+        only when something first reads it, and the group table a row's
+        group and buckets likewise.
+
+        Rows key on the sweep start and the parent tag; a root row also
+        tests its finish variant's fields, so each variant with fields of
+        its own keys under a signature of its own.
         """
         ports = range(1, self.deg + 1)
         forward = cg.forward
@@ -506,27 +531,67 @@ class ServiceCodegen:
             for variant in self.finish_variants()
         ]
         first_gid = cg._next_group
-        rows: list[SweepRow]
-        rows, cg._next_group = cg.shared(
+        plan: list[SweepRow]
+        plan, cg._next_group = cg.shared(
             ("sweep", len(finish), first_gid),
             lambda: sweep_rows(self.deg, len(finish), first_gid),
         )
         sweep_is, par_is = cg.sweep_is, cg.par_is
-        groups, entries = cg.groups, cg.entries(T_SWEEP)
-        for s, p, variant, listed, cookie, gid, instructions in rows:
+
+        def sweep_row(row: SweepRow) -> RowParts:
+            s, p, variant, listed, cookie, _gid, instructions = row
             if p:
                 tests = (sweep_is[s], par_is[p])
-                terminal, priority = parent[p], 10
+                terminal = parent[p]
             else:
-                extra, terminal, priority = finish[variant]
+                extra, terminal, _priority = finish[variant]
                 tests = (sweep_is[s], par_is[0], *extra)
-            if listed:
-                sends = probe if s else probe_root
-                groups.append(DeferredFailoverGroup(gid, listed, sends, terminal))
-            else:
+            if not listed:
                 # No ports left to try: act through table actions.
                 instructions = Instructions(terminal)
-            entries.append(FlowEntry(Match(tests), instructions, priority, cookie))
+            return Match(tests), instructions, cookie
+
+        # What every node of this degree shares: a parent row's key is
+        # (start, parent), a root row's depends on its variant's values;
+        # the rows with a group to build.
+        keys, root_rows, grouped = cg.shared(
+            ("sweep_keys", len(finish), first_gid),
+            lambda: (
+                [(row.s, row.p) if row.p else None for row in plan],
+                [(at, row.s, row.variant) for at, row in enumerate(plan) if not row.p],
+                [(r.gid, r.ports, r.s, r.p, r.variant) for r in plan if r.ports],
+            ),
+        )
+        priorities = cg.shared(
+            ("sweep_priorities", first_gid, tuple([f[2] for f in finish])),
+            lambda: [finish[row.variant][2] if not row.p else 10 for row in plan],
+        )
+
+        def sweep_index():
+            sweep_slot, par_slot = ("metadata", META_SWEEP_MASK), (cg.par, None)
+            signatures, index_keys = [(sweep_slot, par_slot)] * len(plan), list(keys)
+            # A root row's slots in sorted field order, the start at *at*.
+            roots = []
+            for extra, _terminal, _priority in finish:
+                slots = sorted(
+                    [(sweep_slot, -1), (par_slot, 0)]
+                    + [((test.name, None), test.value) for test in extra]
+                )
+                values = [value for _slot, value in slots]
+                signature = tuple([slot for slot, _value in slots])
+                roots.append((signature, values, values.index(-1)))
+            for position, s, variant in root_rows:
+                signature, values, at = roots[variant]
+                values[at] = s
+                signatures[position], index_keys[position] = signature, tuple(values)
+            return signatures, index_keys
+
+        cg.rows(T_SWEEP).add_all(priorities, sweep_row, plan, sweep_index)
+        groups = cg.groups
+        for gid, listed, s, p, variant in grouped:
+            terminal = parent[p] if p else finish[variant][1]
+            sends = probe if s else probe_root
+            groups.append(DeferredFailoverGroup(gid, listed, sends, terminal))
 
 
 # --------------------------------------------------------------------- #
@@ -570,43 +635,50 @@ class SnapshotCodegen(ServiceCodegen):
     def emit_bounce_rules(self, cg: Codegen) -> None:
         deg = self.deg
         in_port, cur, par = cg.in_port_is, cg.cur_is, cg.par_is
+        rows = cg.rows(T_CLASSIFY)
+        ports = range(1, deg + 1)
         # Known edge: pop the sender's record.  Three rule families encode
         # "in < cur or cur = par or in = par" without field comparisons.
         pop_bounce = cg.instructions((PopLabel(), *BOUNCE))
-        for p in range(1, deg + 1):
-            cg.add(
-                T_CLASSIFY,
-                Match((in_port[p], par[p])),
-                pop_bounce,
-                priority=8,
-                cookie=f"classify:bounce_par:{p}",
+
+        def bounce_par(p: int) -> RowParts:
+            return Match((in_port[p], par[p])), pop_bounce, f"classify:bounce_par:{p}"
+
+        def bounce_done(c: int) -> RowParts:
+            return Match((cur[c], par[c])), pop_bounce, f"classify:bounce_done:{c}"
+
+        def bounce_lt(arg) -> RowParts:
+            p, c = arg
+            return (
+                Match((in_port[p], cur[c])), pop_bounce, f"classify:bounce_lt:{p}<{c}"
             )
-        for c in range(1, deg + 1):
-            cg.add(
-                T_CLASSIFY,
-                Match((cur[c], par[c])),
-                pop_bounce,
-                priority=7,
-                cookie=f"classify:bounce_done:{c}",
-            )
-        for c in range(2, deg + 1):
-            for p in range(1, c):
-                cg.add(
-                    T_CLASSIFY,
-                    Match((in_port[p], cur[c])),
-                    pop_bounce,
-                    priority=6,
-                    cookie=f"classify:bounce_lt:{p}<{c}",
-                )
-        # New edge: record this endpoint.
-        for p in range(1, deg + 1):
-            cg.install(
-                T_CLASSIFY,
+
+        def bounce_new(p: int) -> RowParts:
+            actions = (*self._push(("visit", self.node, p)), *BOUNCE)
+            return (
                 Match((in_port[p],)),
-                actions=self._push(("visit", self.node, p)) + list(BOUNCE),
-                priority=5,
-                cookie=f"classify:bounce_new:{p}",
+                cg.instructions(actions),
+                f"classify:bounce_new:{p}",
             )
+
+        arrival_par = (("in_port", None), (cg.par, None))
+        for p in ports:
+            rows.add(arrival_par, (p, p), 8, bounce_par, p)
+        done = ((cg.cur, None), (cg.par, None))
+        for c in ports:
+            rows.add(done, (c, c), 7, bounce_done, c)
+        arrival = (("in_port", None), (cg.cur, None))
+        # (p, c) is both the row's key and its recipe's argument.
+        below = cg.shared(
+            "bounce_lt",
+            lambda: [(p, c) for c in range(2, deg + 1) for p in range(1, c)],
+        )
+        n = len(below)
+        rows.add_all([6] * n, bounce_lt, below, lambda: ([arrival] * n, below))
+        # New edge: record this endpoint.
+        arrival_only = (("in_port", None),)
+        for p in ports:
+            rows.add(arrival_only, p, 5, bounce_new, p)
 
 
 class ChunkedSnapshotCodegen(SnapshotCodegen):
@@ -617,17 +689,20 @@ class ChunkedSnapshotCodegen(SnapshotCodegen):
 
     def emit_dispatch(self, cg: Codegen) -> None:
         exhausted = FieldTest(FIELD_RECCAP, 0)
-        for p in range(1, self.deg + 1):
-            cg.install(
-                T_DISPATCH,
+        rows = cg.rows(T_DISPATCH)
+
+        def flush(p: int) -> RowParts:
+            return (
                 Match((exhausted, cg.in_port_is[p])),
-                actions=[
-                    SetField(FIELD_REPORT_IN, p),
-                    Output(CONTROLLER_PORT),
-                ],
-                priority=100,
-                cookie=f"dispatch:flush:{p}",
+                cg.instructions(
+                    (SetField(FIELD_REPORT_IN, p), Output(CONTROLLER_PORT))
+                ),
+                f"dispatch:flush:{p}",
             )
+
+        arrival = (("in_port", None), (FIELD_RECCAP, None))
+        for p in range(1, self.deg + 1):
+            rows.add(arrival, (p, 0), 100, flush, p)
         cg.install(T_DISPATCH, Match(), goto=T_CLASSIFY, cookie="dispatch:default")
 
 
@@ -637,14 +712,18 @@ class AnycastCodegen(ServiceCodegen):
 
     def emit_dispatch(self, cg: Codegen) -> None:
         service: AnycastService = self.service  # type: ignore[assignment]
-        for gid in sorted(service.groups_of(self.node)):
-            cg.install(
-                T_DISPATCH,
+        rows = cg.rows(T_DISPATCH)
+
+        def member(gid: int) -> RowParts:
+            return (
                 Match(**{FIELD_GID: gid}),
-                actions=[Output(LOCAL_PORT)],
-                priority=100,
-                cookie=f"dispatch:gid:{gid}",
+                cg.instructions((Output(LOCAL_PORT),)),
+                f"dispatch:gid:{gid}",
             )
+
+        group = ((FIELD_GID, None),)
+        for gid in sorted(service.groups_of(self.node)):
+            rows.add(group, gid, 100, member, gid)
         cg.install(T_DISPATCH, Match(), goto=T_CLASSIFY, cookie="dispatch:default")
 
     def finish_variants(self) -> list[FinishVariant]:
@@ -662,28 +741,54 @@ class PriocastCodegen(ServiceCodegen):
     def emit_classify_overrides(self, cg: Codegen) -> None:
         # Phase-2 entry: the packet arrives from the parent port again.
         phase2 = FieldTest(FIELD_START, 2)
-        winner = FieldTest(FIELD_OPT_ID, self.node + 1)
+        own_id = self.node + 1
+        winner = FieldTest(FIELD_OPT_ID, own_id)
         deliver = cg.instructions((Output(LOCAL_PORT),))
         restart = cg.instructions(goto=T_SWEEP, meta=meta_sweep(1))
-        for p in range(1, self.deg + 1):
-            in_port, par = cg.in_port_is[p], cg.par_is[p]
-            cg.add(
-                T_CLASSIFY,
-                Match((phase2, in_port, par, winner)),
+        in_port, par = cg.in_port_is, cg.par_is
+        rows = cg.rows(T_CLASSIFY)
+
+        def p2_deliver(p: int) -> RowParts:
+            return (
+                Match((phase2, in_port[p], par[p], winner)),
                 deliver,
-                priority=90,
-                cookie=f"classify:p2_deliver:{p}",
+                f"classify:p2_deliver:{p}",
             )
-            cg.add(
-                T_CLASSIFY,
-                Match((phase2, in_port, par)),
-                restart,
-                priority=85,
-                cookie=f"classify:p2_restart:{p}",
+
+        def p2_restart(p: int) -> RowParts:
+            return (
+                Match((phase2, in_port[p], par[p])), restart, f"classify:p2_restart:{p}"
             )
+
+        won = (
+            ("in_port", None), (FIELD_OPT_ID, None), (FIELD_START, None), (cg.par, None)
+        )
+        returned = (("in_port", None), (FIELD_START, None), (cg.par, None))
+        for p in range(1, self.deg + 1):
+            rows.add(won, (p, own_id, 2, p), 90, p2_deliver, p)
+            rows.add(returned, (p, 2, p), 85, p2_restart, p)
 
     def emit_bid_table(self, cg: Codegen) -> None:
         service: PriocastService = self.service  # type: ignore[assignment]
+        rows = cg.rows(T_BID)
+
+        def bid(arg) -> RowParts:
+            gid, priority_value, value, mask, suffix = arg
+            return (
+                Match(
+                    [FieldTest(FIELD_OPT_VAL, value, mask)],
+                    **{FIELD_GID: gid, FIELD_START: 1},
+                ),
+                cg.instructions(
+                    (
+                        SetField(FIELD_OPT_VAL, priority_value),
+                        SetField(FIELD_OPT_ID, self.node + 1),
+                    ),
+                    T_SWEEP,
+                ),
+                f"bid:{gid}{suffix}",
+            )
+
         for gid in sorted(service.groups_of(self.node)):
             priority_value = service.priority_of(self.node, gid)
             assert priority_value is not None
@@ -692,20 +797,9 @@ class PriocastCodegen(ServiceCodegen):
                 # Index the cookie per range cube so diagnostics can point
                 # at the exact entry, not just the (gid) rule family.
                 suffix = f":r{index}" if len(cubes) > 1 else ""
-                cg.install(
-                    T_BID,
-                    Match(
-                        [FieldTest(FIELD_OPT_VAL, value, mask)],
-                        **{FIELD_GID: gid, FIELD_START: 1},
-                    ),
-                    actions=[
-                        SetField(FIELD_OPT_VAL, priority_value),
-                        SetField(FIELD_OPT_ID, self.node + 1),
-                    ],
-                    goto=T_SWEEP,
-                    priority=10,
-                    cookie=f"bid:{gid}{suffix}",
-                )
+                below = ((FIELD_GID, None), (FIELD_OPT_VAL, mask), (FIELD_START, None))
+                arg = (gid, priority_value, value, mask, suffix)
+                rows.add(below, (gid, value, 1), 10, bid, arg)
         cg.install(T_BID, Match(), goto=T_SWEEP, cookie="bid:default")
 
     def finish_variants(self) -> list[FinishVariant]:
@@ -755,26 +849,40 @@ class CriticalCodegen(ServiceCodegen):
         # means a second DFS child exists -> critical.
         ports = range(1, self.deg + 1)
         returned = FieldTest(FIELD_TO_PARENT, 1)
-        first_is = [FieldTest(FIELD_FIRST_PORT, f) for f in range(self.deg + 1)]
         verdict = cg.instructions(
             (
                 SetField(FIELD_CRITICAL, CRITICAL),
                 Output(self.service.report_destination),
             )
         )
-        root = cg.par_is[0]
-        for c in ports:
-            cur, in_port = cg.cur_is[c], cg.in_port_is[c]
-            for f in ports:
-                if f == c:
-                    continue
-                cg.add(
-                    T_CLASSIFY,
-                    Match((root, cur, in_port, returned, first_is[f])),
-                    verdict,
-                    priority=60,
-                    cookie=f"classify:critical:{c}",
-                )
+        root, cur, in_port = cg.par_is[0], cg.cur_is, cg.in_port_is
+        rows = cg.rows(T_CLASSIFY)
+
+        def critical(arg) -> RowParts:
+            c, f = arg
+            first = FieldTest(FIELD_FIRST_PORT, f)
+            return (
+                Match((root, cur[c], in_port[c], returned, first)),
+                verdict,
+                f"classify:critical:{c}",
+            )
+
+        second_child = (
+            (FIELD_FIRST_PORT, None),
+            ("in_port", None),
+            (FIELD_TO_PARENT, None),
+            (cg.cur, None),
+            (cg.par, None),
+        )
+        args, keys = cg.shared(
+            "second_child",
+            lambda: (
+                [(c, f) for c in ports for f in ports if f != c],
+                [(f, c, 1, c, 0) for c in ports for f in ports if f != c],
+            ),
+        )
+        n = len(args)
+        rows.add_all([60] * n, critical, args, lambda: ([second_child] * n, keys))
 
     def finish_variants(self) -> list[FinishVariant]:
         return [
@@ -793,29 +901,24 @@ class TtlCodegen(ServiceCodegen):
 
     def emit_dispatch(self, cg: Codegen) -> None:
         expired = FieldTest(FIELD_TTL, 0)
-        for p in range(1, self.deg + 1):
-            cg.install(
-                T_DISPATCH,
-                Match((expired, cg.in_port_is[p])),
-                actions=[
-                    SetField(FIELD_BH, BH_FOUND),
-                    SetField(FIELD_REPORT_IN, p),
-                    Output(CONTROLLER_PORT),
-                ],
-                priority=100,
-                cookie=f"dispatch:ttl0:{p}",
-            )
-        cg.install(
-            T_DISPATCH,
-            Match((expired,)),
-            actions=[
+        rows = cg.rows(T_DISPATCH)
+
+        def report(p: int) -> RowParts:
+            actions = (
                 SetField(FIELD_BH, BH_FOUND),
-                SetField(FIELD_REPORT_IN, 0),
+                SetField(FIELD_REPORT_IN, p),
                 Output(CONTROLLER_PORT),
-            ],
-            priority=99,
-            cookie="dispatch:ttl0",
-        )
+            )
+            if p:
+                tests, cookie = (expired, cg.in_port_is[p]), f"dispatch:ttl0:{p}"
+            else:
+                tests, cookie = (expired,), "dispatch:ttl0"
+            return Match(tests), cg.instructions(actions), cookie
+
+        arrival = (("in_port", None), (FIELD_TTL, None))
+        for p in range(1, self.deg + 1):
+            rows.add(arrival, (p, 0), 100, report, p)
+        rows.add(((FIELD_TTL, None),), 0, 99, report, 0)
         cg.install(
             T_DISPATCH,
             Match(),
@@ -851,15 +954,18 @@ class BlackholeCodegen(ServiceCodegen):
         # Received packets increment the port counter too (the counter
         # counts link traversals at the port, cf. the interpreted engine's
         # on_arrival hook and DESIGN.md).
-        for p in range(1, self.deg + 1):
-            cg.install(
-                T_DISPATCH,
+        rows = cg.rows(T_DISPATCH)
+
+        def receive(p: int) -> RowParts:
+            return (
                 Match((cg.in_port_is[p],)),
-                actions=[self._count(p)],
-                goto=T_CLASSIFY,
-                priority=10,
-                cookie=f"dispatch:recv_count:{p}",
+                cg.instructions((self._count(p),), T_CLASSIFY),
+                f"dispatch:recv_count:{p}",
             )
+
+        arrival = (("in_port", None),)
+        for p in range(1, self.deg + 1):
+            rows.add(arrival, p, 10, receive, p)
         cg.install(T_DISPATCH, Match(), goto=T_CLASSIFY, cookie="dispatch:default")
 
     def send_next_actions(self, out_port: int) -> list[Action]:
@@ -888,119 +994,104 @@ class BlackholeCodegen(ServiceCodegen):
         for p in ports:
             cg.add_group(counter_group(self.counter_gid(p), writes, start))
 
-        in_port, cur, par = cg.in_port_is, cg.cur_is, cg.par_is
+        in_port, cur = cg.in_port_is, cg.cur_is
         count = [None] + [self._count(p) for p in ports]
-        probing, echoing, echoed, verifying = (
-            FieldTest(FIELD_REPEAT, phase)
+        repeat_is = {
+            phase: FieldTest(FIELD_REPEAT, phase)
             for phase in (REPEAT_PROBE, REPEAT_ECHO, REPEAT_ECHO_BACK, REPEAT_VERIFY)
-        )
+        }
+        rows = cg.rows(T_CLASSIFY)
+
+        def trigger(verify: bool) -> RowParts:
+            if verify:
+                match = Match(**{FIELD_START: 0, FIELD_REPEAT: REPEAT_VERIFY})
+                after, cookie = T_VERIFY_SWEEP, "classify:trigger_verify"
+                meta = meta_sweep(1)
+            else:
+                match = Match(**{FIELD_START: 0})
+                after, cookie = T_SWEEP, "classify:trigger"
+                meta = meta_sweep(0)
+            instructions = cg.instructions((SetField(FIELD_START, 1),), after, meta)
+            return match, instructions, cookie
+
+        def first_visit(arg) -> RowParts:
+            # Probe phase: echo to the parent (count the send); echo
+            # completed: resume the probe sweep; verify phase: plain.
+            p, phase = arg
+            adopt = SetField(cg.par, p)
+            if phase == REPEAT_PROBE:
+                echo = SetField(FIELD_REPEAT, REPEAT_ECHO)
+                actions = (adopt, echo, count[p], *BOUNCE)
+                instructions, name = cg.instructions(actions), "first_echo"
+            elif phase == REPEAT_ECHO_BACK:
+                actions = (adopt, SetField(FIELD_REPEAT, REPEAT_PROBE))
+                instructions = cg.instructions(actions, T_SWEEP, meta_sweep(1))
+                name = "first_resume"
+            else:
+                instructions = cg.instructions((adopt,), T_VERIFY_SWEEP, meta_sweep(1))
+                name = "first_verify"
+            return (
+                Match((cur[0], in_port[p], repeat_is[phase])),
+                instructions,
+                f"classify:{name}:{p}",
+            )
+
+        def at_cur(arg) -> RowParts:
+            # Echoing: the parent side sends the packet back to the child;
+            # probe / verify phase: advance.
+            c, phase = arg
+            if phase == REPEAT_ECHO:
+                actions = (SetField(FIELD_REPEAT, REPEAT_ECHO_BACK), count[c], *BOUNCE)
+                instructions, name = cg.instructions(actions), "echo_return"
+            elif phase == REPEAT_PROBE:
+                instructions = cg.instructions((), T_SWEEP, meta_sweep(c + 1))
+                name = "advance"
+            else:
+                instructions = cg.instructions((), T_VERIFY_SWEEP, meta_sweep(c + 1))
+                name = "advance_verify"
+            return (
+                Match((cur[c], in_port[c], repeat_is[phase])),
+                instructions,
+                f"classify:{name}:{c}",
+            )
+
+        def bounce_verify(p: int) -> RowParts:
+            return (
+                Match((in_port[p], repeat_is[REPEAT_VERIFY])),
+                cg.instructions(
+                    (count[p],), T_VERIFY_CHECK, meta_verify(p, KIND_BOUNCE)
+                ),
+                f"classify:bounce_verify:{p}",
+            )
+
+        def bounce(p: int) -> RowParts:
+            return (
+                Match((in_port[p],)),
+                cg.instructions((count[p], *BOUNCE)),
+                f"classify:bounce:{p}",
+            )
 
         # Triggers.
-        cg.install(
-            T_CLASSIFY,
-            Match(**{FIELD_START: 0, FIELD_REPEAT: REPEAT_VERIFY}),
-            actions=[SetField(FIELD_START, 1)],
-            meta=meta_sweep(1),
-            goto=T_VERIFY_SWEEP,
-            priority=101,
-            cookie="classify:trigger_verify",
-        )
-        cg.install(
-            T_CLASSIFY,
-            Match(**{FIELD_START: 0}),
-            actions=[SetField(FIELD_START, 1)],
-            meta=meta_sweep(0),
-            goto=T_SWEEP,
-            priority=100,
-            cookie="classify:trigger",
-        )
+        phased = ((FIELD_REPEAT, None), (FIELD_START, None))
+        rows.add(phased, (REPEAT_VERIFY, 0), 101, trigger, True)
+        rows.add(((FIELD_START, None),), 0, 100, trigger, False)
 
+        arrival = (("in_port", None), (FIELD_REPEAT, None), (cg.cur, None))
         for p in ports:
-            adopt = SetField(cg.par, p)
-            # First visit, probe phase: echo to the parent (count the send).
-            cg.install(
-                T_CLASSIFY,
-                Match((cur[0], in_port[p], probing)),
-                actions=(
-                    adopt,
-                    SetField(FIELD_REPEAT, REPEAT_ECHO),
-                    count[p],
-                    *BOUNCE,
-                ),
-                priority=52,
-                cookie=f"classify:first_echo:{p}",
-            )
-            # First visit, echo completed: resume the probe sweep.
-            cg.install(
-                T_CLASSIFY,
-                Match((cur[0], in_port[p], echoed)),
-                actions=(adopt, SetField(FIELD_REPEAT, REPEAT_PROBE)),
-                meta=meta_sweep(1),
-                goto=T_SWEEP,
-                priority=52,
-                cookie=f"classify:first_resume:{p}",
-            )
-            # First visit, verify phase: plain.
-            cg.install(
-                T_CLASSIFY,
-                Match((cur[0], in_port[p], verifying)),
-                actions=(adopt,),
-                meta=meta_sweep(1),
-                goto=T_VERIFY_SWEEP,
-                priority=52,
-                cookie=f"classify:first_verify:{p}",
-            )
-
+            for phase in (REPEAT_PROBE, REPEAT_ECHO_BACK, REPEAT_VERIFY):
+                rows.add(arrival, (p, phase, 0), 52, first_visit, (p, phase))
         for c in ports:
-            # Parent side of the echo: send the packet back to the child.
-            cg.install(
-                T_CLASSIFY,
-                Match((cur[c], in_port[c], echoing)),
-                actions=(
-                    SetField(FIELD_REPEAT, REPEAT_ECHO_BACK),
-                    count[c],
-                    *BOUNCE,
-                ),
-                priority=52,
-                cookie=f"classify:echo_return:{c}",
-            )
-            # Advance, probe phase.
-            cg.install(
-                T_CLASSIFY,
-                Match((cur[c], in_port[c], probing)),
-                meta=meta_sweep(c + 1),
-                goto=T_SWEEP,
-                priority=50,
-                cookie=f"classify:advance:{c}",
-            )
-            # Advance, verify phase.
-            cg.install(
-                T_CLASSIFY,
-                Match((cur[c], in_port[c], verifying)),
-                meta=meta_sweep(c + 1),
-                goto=T_VERIFY_SWEEP,
-                priority=50,
-                cookie=f"classify:advance_verify:{c}",
-            )
+            for phase, priority in (
+                (REPEAT_ECHO, 52), (REPEAT_PROBE, 50), (REPEAT_VERIFY, 50)
+            ):
+                rows.add(arrival, (c, phase, c), priority, at_cur, (c, phase))
 
         # Bounces: count the return send; verify-phase bounces also check.
+        checked = (("in_port", None), (FIELD_REPEAT, None))
+        bare = (("in_port", None),)
         for p in ports:
-            cg.install(
-                T_CLASSIFY,
-                Match((in_port[p], verifying)),
-                actions=(count[p],),
-                meta=meta_verify(p, KIND_BOUNCE),
-                goto=T_VERIFY_CHECK,
-                priority=6,
-                cookie=f"classify:bounce_verify:{p}",
-            )
-            cg.install(
-                T_CLASSIFY,
-                Match((in_port[p],)),
-                actions=(count[p], *BOUNCE),
-                priority=5,
-                cookie=f"classify:bounce:{p}",
-            )
+            rows.add(checked, (p, REPEAT_VERIFY), 6, bounce_verify, p)
+            rows.add(bare, p, 5, bounce, p)
 
     def _verify_sweep_rows(self, cg: Codegen) -> list[tuple]:
         """VERIFY_SWEEP's row plan ``(s, p, instructions, cookie)``:
@@ -1037,11 +1128,11 @@ class BlackholeCodegen(ServiceCodegen):
 
     def _verify_check_rows(self) -> list[tuple]:
         """VERIFY_CHECK's row plan ``(match, q, report, instructions,
-        priority, cookie)``: a fetch returning 1 identifies the blackhole
-        port.  Matches test only metadata and the fetched value, so they are
-        shared outright; *instructions* is None where the row goes on to
-        port *q* — through the node's own current-port tag — after the
-        *report* actions."""
+        priority, cookie, signature, key)``: a fetch returning 1 identifies
+        the blackhole port.  Matches test only metadata and the fetched
+        value, so they are shared outright, keys included; *instructions*
+        is None where the row goes on to port *q* — through the node's own
+        current-port tag — after the *report* actions."""
         fetched_one = FieldTest(FIELD_SCRATCH, 1)
         rows = []
         for q in range(1, self.deg + 1):
@@ -1066,6 +1157,8 @@ class BlackholeCodegen(ServiceCodegen):
                         Instructions(report + BOUNCE) if bounces else None,
                         20,
                         f"vcheck:{name}_report:{q}",
+                        (("metadata", mask), (FIELD_SCRATCH, None)),
+                        (value, 1),
                     )
                 )
                 rows.append(
@@ -1076,28 +1169,52 @@ class BlackholeCodegen(ServiceCodegen):
                         Instructions(BOUNCE) if bounces else None,
                         10,
                         f"vcheck:{name}:{q}",
+                        (("metadata", mask),),
+                        value,
                     )
                 )
         return rows
 
     def emit_extra_tables(self, cg: Codegen) -> None:
         sweep_is, par_is, forward = cg.sweep_is, cg.par_is, cg.forward
-        for s, p, instructions, cookie in cg.shared(
-            (type(self), "verify_sweep"), lambda: self._verify_sweep_rows(cg)
-        ):
-            cg.add(
-                T_VERIFY_SWEEP,
-                Match((sweep_is[s], par_is[p])),
-                instructions,
-                10,
-                cookie,
-            )
-        for match, q, report, instructions, priority, cookie in cg.shared(
-            (type(self), "verify_check"), self._verify_check_rows
-        ):
+
+        def verify_sweep(row: tuple) -> RowParts:
+            s, p, instructions, cookie = row
+            return Match((sweep_is[s], par_is[p])), instructions, cookie
+
+        def verify_check(row: tuple) -> RowParts:
+            match, q, report, instructions, _priority, cookie, _sig, _key = row
             if instructions is None:
                 instructions = Instructions(report + forward[q])
-            cg.add(T_VERIFY_CHECK, match, instructions, priority, cookie)
+            return match, instructions, cookie
+
+        def sweep_plan():
+            plan = self._verify_sweep_rows(cg)
+            return plan, [(s, p) for s, p, _instructions, _cookie in plan]
+
+        def check_plan():
+            plan = self._verify_check_rows()
+            return (
+                plan,
+                [row[6] for row in plan],
+                [row[7] for row in plan],
+                [row[4] for row in plan],
+            )
+
+        # Both plans and every column but the sweep's signature (which names
+        # the node's parent tag) are shared by the nodes of a degree.
+        plan, keys = cg.shared((type(self), "verify_sweep"), sweep_plan)
+        signature = (("metadata", META_SWEEP_MASK), (cg.par, None))
+        n = len(plan)
+        cg.rows(T_VERIFY_SWEEP).add_all(
+            [10] * n, verify_sweep, plan, lambda: ([signature] * n, keys)
+        )
+        check, signatures, check_keys, priorities = cg.shared(
+            (type(self), "verify_check"), check_plan
+        )
+        cg.rows(T_VERIFY_CHECK).add_all(
+            priorities, verify_check, check, lambda: (signatures, check_keys)
+        )
 
 
 #: Service class -> code generator class.
@@ -1142,7 +1259,7 @@ def _emit_service(
     network: Network,
     node: int,
     service: Service,
-    tables: dict[int, list[FlowEntry]],
+    tables: dict[int, DeferredTable | EagerTable],
     groups: list[Group | DeferredFailoverGroup],
     table_base: int = 0,
     group_base: int = 0,
@@ -1175,6 +1292,13 @@ def _bare_switch(network: Network, node: int, fast_path: bool | None) -> Switch:
     )
 
 
+def _program_tables(switch: Switch) -> defaultdict[int, DeferredTable | EagerTable]:
+    """Table id -> the rows the emitters fill: deferred on a switch with a
+    fast path, the only reader that builds a table row by row; built at
+    once on any other, whose every reader reads whole tables."""
+    return defaultdict(DeferredTable if switch.fast_path_enabled else EagerTable)
+
+
 def compile_service(
     network: Network,
     node: int,
@@ -1187,7 +1311,7 @@ def compile_service(
     default); see :mod:`repro.openflow.fastpath`.
     """
     switch = _bare_switch(network, node, fast_path)
-    tables: dict[int, list[FlowEntry]] = {}
+    tables = _program_tables(switch)
     groups: list[Group | DeferredFailoverGroup] = []
     _emit_service(network, node, service, tables, groups)
     switch.load_program(tables, groups)
@@ -1218,18 +1342,16 @@ def compile_services(
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate service ids in {ids}")
     switch = _bare_switch(network, node, fast_path)
-    svc_dispatch: list[FlowEntry] = []
-    tables: dict[int, list[FlowEntry]] = {0: svc_dispatch}
+    tables = _program_tables(switch)
+    svc_dispatch = tables[0]
     groups: list[Group | DeferredFailoverGroup] = []
     for index, service in enumerate(services):
         table_base = 1 + index * SERVICE_BLOCK_TABLES
-        svc_dispatch.append(
-            FlowEntry(
-                Match(**{FIELD_SVC: service.service_id}),
-                Instructions(goto_table=table_base),
-                priority=10,
-                cookie=f"svc_dispatch:{service.name}",
-            )
+        svc_dispatch.add_rule(
+            Match(**{FIELD_SVC: service.service_id}),
+            Instructions(goto_table=table_base),
+            10,
+            f"svc_dispatch:{service.name}",
         )
         _emit_service(
             network,

@@ -38,6 +38,13 @@ priority-then-insertion-order rule the interpreter documents.  A slot holds
 the bare :class:`FlowEntry` until its first hit, which makes the
 :class:`CompiledEntry` record and stores it in place.
 
+A table the compiler loaded as a :class:`~repro.openflow.deferred.
+DeferredTable` is not read entry by entry at all: its signatures and
+first-row-per-key positions are declared, so :func:`compile_table` hands
+it to :func:`index_declared`, whose index is a copy of those maps under
+the usual per-signature key extractors, and a slot holds the row's
+position until its first hit builds the row, then the record.
+
 One lookup per hop
 ------------------
 
@@ -83,6 +90,7 @@ from repro.openflow.group import Group, GroupType
 from repro.openflow.packet import IN_PORT, Packet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (switch imports us)
+    from repro.openflow.deferred import DeferredTable
     from repro.openflow.switch import PacketOut, Switch
 
 #: Emission callback of the compiled ops: ``emit(port, packet)`` with
@@ -261,9 +269,10 @@ class FastTable:
     """One flow table compiled to signature-indexed hash dispatch.
 
     Every slot (a bucket key's head, the residue head) holds the bare
-    :class:`FlowEntry` until something reads it as a record: then the
-    table's *make* turns it into a :class:`CompiledEntry` and stores that
-    in place, so a table pays records only for the rows it hits.
+    :class:`FlowEntry` — or, in a deferred table's index, the row's
+    position — until something reads it as a record: then the table's
+    *make* turns it into a :class:`CompiledEntry` and stores that in place,
+    so a table pays records (and deferred rows) only for the rows it hits.
     """
 
     __slots__ = ("table_id", "groups", "residue", "_make")
@@ -272,8 +281,8 @@ class FastTable:
         self,
         table_id: int,
         groups: list[tuple[_GetFn, dict, tuple]],
-        residue: FlowEntry | CompiledEntry | None,
-        make: Callable[[FlowEntry], CompiledEntry],
+        residue: FlowEntry | int | CompiledEntry | None,
+        make: Callable[[FlowEntry | int], CompiledEntry],
     ) -> None:
         self.table_id = table_id
         #: One (key_fn, buckets, signature) triple per distinct match
@@ -346,7 +355,13 @@ def compile_table(
     the key-field order are worked out once per shape and an entry costs
     two dict probes and one ``setdefault``.  Entries arrive in match order,
     so the first entry of a key is the one every lookup of that key prefers.
+
+    A pending deferred table is not read entry by entry: its declared
+    index stands in for this one (:func:`index_declared`).
     """
+    deferred = table.deferred
+    if deferred is not None:
+        return index_declared(table.table_id, deferred, entry_factory)
     shapes: dict[tuple, tuple] = {}
     by_signature: dict[tuple, dict] = {}
     residue: FlowEntry | None = None
@@ -379,6 +394,29 @@ def compile_table(
         for signature, buckets in by_signature.items()
     ]
     return FastTable(table.table_id, groups, residue, entry_factory)
+
+
+def index_declared(
+    table_id: int,
+    plan: DeferredTable,
+    entry_factory: Callable[[FlowEntry], CompiledEntry] = CompiledEntry,
+) -> FastTable:
+    """The :class:`FastTable` of a deferred table: its declared index.
+
+    Each slot holds the position of its key's first row (what
+    :func:`compile_table` would find for that key on the materialised
+    table); the first hit has the table build that row and
+    *entry_factory* make its record.  No row is read or built here.
+    """
+    row = plan.row
+    keyed, residue = plan.declared()
+    groups: list[tuple[_GetFn, dict, tuple]] = [
+        (_make_key_fn(signature), dict(index), signature)
+        for signature, index in keyed
+    ]
+    return FastTable(
+        table_id, groups, residue, lambda position: entry_factory(row(position))
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -750,9 +788,11 @@ class FastPath:
 
         Drops every recorded chain, lets changed tables and group programs
         recompile, and rebuilds the union key: every ``(field, mask)`` slot
-        any table of the switch consults.  ``metadata`` is excluded — it
-        starts at 0 and evolves as a constant function of the chain, so
-        key-equal packets always agree on it — and ``in_port`` is a slot
+        any table of the switch consults (a pending deferred table's
+        declared signatures, so only eager tables are indexed here).
+        ``metadata`` is excluded — it starts at 0 and evolves as a constant
+        function of the chain, so key-equal packets always agree on it —
+        and ``in_port`` is a slot
         like any other when some table tests it (otherwise the ops resolve
         ``IN_PORT`` from the arrival itself).
         """
@@ -760,8 +800,15 @@ class FastPath:
         self._check_groups()
         self._chains.clear()
         slots: set[tuple[str, int | None]] = set()
-        for table_id in list(switch.tables):
-            for _key_fn, _buckets, signature in self._fast_table(table_id).groups:
+        for table_id, table in list(switch.tables.items()):
+            plan = table.deferred
+            if plan is None:
+                groups = self._fast_table(table_id).groups
+                signatures = [signature for _key_fn, _buckets, signature in groups]
+            else:
+                keyed, _residue = plan.declared()
+                signatures = [signature for signature, _index in keyed]
+            for signature in signatures:
                 for name, mask in signature:
                     if name != "metadata":
                         slots.add((name, mask))

@@ -2,19 +2,22 @@
 
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
 
 from repro.openflow.actions import Instructions
 from repro.openflow.errors import TableError, TableFullError
 from repro.openflow.match import Match
 
+if TYPE_CHECKING:  # pragma: no cover - the compiler's module, not loaded here
+    from repro.openflow.deferred import DeferredTable
 
 _PRIORITY = attrgetter("priority")
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowEntry:
     """One flow-table entry.
 
@@ -79,6 +82,16 @@ class FlowTable:
     :class:`~repro.openflow.errors.TableFullError` (OpenFlow's
     ``OFPFMFC_TABLE_FULL``).  Unbounded tables (the default) never pay for
     the feature beyond one attribute check per install.
+
+    A :class:`~repro.openflow.deferred.DeferredTable` loaded into an empty,
+    unbounded table stays pending: the fast path reads it through its
+    declared keys (see :attr:`deferred`), and the first other reader —
+    :meth:`entries`,
+    :meth:`lookup`, :meth:`indexed_entries` and so every walk, description,
+    digest and analysis, or any mutation — materialises every row first,
+    with the seqs the eager load would have given them.  Materialising is
+    not a mutation: the rows are exactly what was loaded, so ``version``
+    and the switch's program generation stay where they are.
     """
 
     #: Called after every mutation (see :attr:`Switch.program_generation`).
@@ -89,7 +102,10 @@ class FlowTable:
             raise TableError(f"negative table id {table_id}")
         self.table_id = table_id
         self.name = name or f"table{table_id}"
-        self._entries: list[FlowEntry] = []
+        #: The entries, in match order while ``_sorted``.
+        self._rows: list[FlowEntry] = []
+        #: A loaded deferred table not materialised yet (``_rows`` empty).
+        self._plan: DeferredTable | None = None
         self._sorted = True
         self._version = 0
         self._next_seq = 0
@@ -101,6 +117,38 @@ class FlowTable:
     def version(self) -> int:
         """Mutation counter (bumped by add/remove/modify/touch)."""
         return self._version
+
+    @property
+    def deferred(self) -> DeferredTable | None:
+        """The loaded :class:`DeferredTable` while no reader has
+        materialised it (its rows are then this table's entries)."""
+        return self._plan
+
+    @property
+    def _entries(self) -> list[FlowEntry]:
+        """The entry list, materialised first if the table is pending."""
+        if self._plan is not None:
+            self.materialise()
+        return self._rows
+
+    @_entries.setter
+    def _entries(self, entries: list[FlowEntry]) -> None:
+        self._plan = None
+        self._rows = entries
+
+    def materialise(self) -> None:
+        """Build every row of a pending deferred table and put them in
+        match order.  Not a mutation (see the class docstring)."""
+        plan = self._plan
+        if plan is None:
+            return
+        rows = plan.rows()
+        # Rows come in seq order, so the stable sort on priority alone
+        # yields the (-priority, seq) match order.
+        rows.sort(key=_PRIORITY, reverse=True)
+        self._rows = rows
+        self._sorted = True
+        self._plan = None
 
     @property
     def capacity(self) -> int | None:
@@ -126,6 +174,9 @@ class FlowTable:
         self._evict = evict
 
     def _mutated(self) -> None:
+        # A mutated table is indexed from its entries, never from a plan
+        # whose rows may have been edited in place.
+        self.materialise()
         self._sorted = False
         self._version += 1
         if self.on_mutate is not None:
@@ -143,15 +194,16 @@ class FlowTable:
         :class:`~repro.openflow.errors.TableFullError` when no room can be
         made.
         """
-        if self._capacity is not None and len(self._entries) >= self._capacity:
+        entries = self._entries
+        if self._capacity is not None and len(entries) >= self._capacity:
             self._make_room(entry)
         entry.seq = self._next_seq
         self._next_seq += 1
-        self._entries.append(entry)
+        entries.append(entry)
         self._mutated()
         return entry
 
-    def load(self, entries: Sequence[FlowEntry]) -> None:
+    def load(self, entries: Sequence[FlowEntry] | DeferredTable) -> None:
         """Install *entries*, in order, as one mutation.
 
         Equivalent to calling :meth:`add` on each entry in turn — same
@@ -161,22 +213,39 @@ class FlowTable:
         (the compiler, :meth:`~repro.openflow.switch.Switch.adopt_program`);
         a capacity-bounded table still takes the entries one by one, so
         every install sees the eviction policy.
+
+        A :class:`~repro.openflow.deferred.DeferredTable` (anything that is
+        not a sequence of entries) stays pending in an empty, unbounded
+        table (see :attr:`deferred`); anywhere else its rows are built and
+        loaded like a list.
         """
+        if not isinstance(entries, (list, abc.Sequence)):
+            entries.bind(self._next_seq)
+            if self._rows or self._plan is not None or self._capacity is not None:
+                entries = entries.rows()
+            else:
+                self._next_seq += len(entries)
+                self._mutated()
+                # Pending reads as unsorted (set just above), so the first
+                # reader through _ensure_sorted materialises the rows.
+                self._plan = entries
+                return
         if self._capacity is not None:
             for entry in entries:
                 self.add(entry)
             return
+        present = self._entries
         for seq, entry in enumerate(entries, self._next_seq):
             entry.seq = seq
         was_sorted = self._sorted
-        self._entries.extend(entries)
+        present.extend(entries)
         self._next_seq += len(entries)
         self._mutated()
         if was_sorted:
             # A sorted table followed by newcomers in seq order (all later
             # than anything present): the stable sort on priority alone
             # already yields the (-priority, seq) match order.
-            self._entries.sort(key=_PRIORITY, reverse=True)
+            present.sort(key=_PRIORITY, reverse=True)
             self._sorted = True
 
     def _make_room(self, incoming: FlowEntry) -> None:
@@ -267,16 +336,19 @@ class FlowTable:
 
     def _ensure_sorted(self) -> None:
         if not self._sorted:
+            if self._plan is not None:
+                self.materialise()  # builds the rows in match order
+                return
             # Priority descending, then insertion order: the documented
             # same-priority tie-break, made explicit via seq rather than
             # relying on incidental list order + sort stability.
-            self._entries.sort(key=lambda e: (-e.priority, e.seq))
+            self._rows.sort(key=lambda e: (-e.priority, e.seq))
             self._sorted = True
 
     def lookup(self, context: Mapping[str, int]) -> FlowEntry | None:
         """Return the highest-priority entry matching *context*, or None."""
         self._ensure_sorted()
-        for entry in self._entries:
+        for entry in self._rows:
             if entry.match.hits(context):
                 entry.packet_count += 1
                 return entry
@@ -285,7 +357,7 @@ class FlowTable:
     def entries(self) -> Iterator[FlowEntry]:
         """Iterate entries in match order (highest priority first)."""
         self._ensure_sorted()
-        return iter(self._entries)
+        return iter(self._rows)
 
     def indexed_entries(self) -> list[tuple[int, FlowEntry]]:
         """Entries in match order with their stable match-order index.
@@ -296,10 +368,12 @@ class FlowTable:
         :class:`FlowEntry` to be hashable.
         """
         self._ensure_sorted()
-        return list(enumerate(self._entries))
+        return list(enumerate(self._rows))
 
     def __len__(self) -> int:
-        return len(self._entries)
+        """The entry count (a pending table counts its rows unbuilt)."""
+        plan = self._plan
+        return len(self._rows) if plan is None else len(plan)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"FlowTable({self.name}, {len(self._entries)} entries)"
+        return f"FlowTable({self.name}, {len(self)} entries)"

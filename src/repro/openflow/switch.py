@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from repro.core.determinism import Rng, seeded_rng
 from repro.openflow.actions import EmitFn, GroupAction, Instructions
@@ -25,6 +25,9 @@ from repro.openflow.packet import (
     Packet,
     is_physical_port,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - the compiler's module, not loaded here
+    from repro.openflow.deferred import DeferredTable
 
 
 @dataclass(frozen=True)
@@ -170,12 +173,14 @@ class Switch:
 
     def load_program(
         self,
-        tables: Mapping[int, Sequence[FlowEntry]],
+        tables: Mapping[int, Sequence[FlowEntry] | DeferredTable],
         groups: Sequence[Group | DeferredFailoverGroup] = (),
     ) -> None:
         """Install a whole program in one step: every table's entries (in
-        list order), then *groups* (in order; a deferred group is built on
-        first read, see :class:`GroupTable`).
+        list order; a :class:`~repro.openflow.deferred.DeferredTable`'s
+        rows are built where they are read, see :class:`FlowTable`), then
+        *groups* (in order; a deferred group is built on first read, see
+        :class:`GroupTable`).
 
         The one way programs reach a switch — the compiler and
         :meth:`adopt_program` both end here — and equivalent to
@@ -236,8 +241,11 @@ class Switch:
         Mutations through the :class:`FlowTable` / :class:`GroupTable` APIs
         invalidate automatically via version counters; call this only after
         editing entry or bucket objects in place.  Advances the program
-        generation either way.
+        generation either way, and materialises every deferred table, so
+        the fast path reindexes edited rows from what they are now.
         """
+        for table in self.tables.values():
+            table.materialise()
         self._program_changed()
         if self._fast_path is not None:
             self._fast_path.invalidate()

@@ -35,6 +35,18 @@ check that must catch it:
   TestDeferredReadIsNotAMutation``: building a deferred group on first
   read must not count as a program change, or every first read would
   recompile the fast path and drop the cached inventory digest.
+* ``lazytables`` — ``tests/test_lazy_program.py::
+  TestMaterialiseIsNotAMutation``: materialising a deferred flow table
+  must not count as a program change either.
+* ``deferkey`` — ``tests/test_deferred_tables.py``: a deferred table's
+  declared index against what ``compile_table`` derives from the built
+  rows; an index that keeps a later same-key row points the fast path at
+  a row no lookup would return.
+* ``chains`` — ``tests/test_fastpath_invalidation.py``: an explicit
+  invalidation must drop the recorded chains along with the compiles.
+* ``digestcache`` — ``tests/test_switch_faults.py``: a rebooted switch's
+  inventory digest must be computed anew, or readopt trusts the program
+  it lost.
 
 The script first checks that every anchor occurs exactly once and that every
 killer passes on the unmutated copy, then applies each mutant alone and runs
@@ -201,6 +213,37 @@ MUTANTS = (
         "        return group\n",
         "lazygroups",
     ),
+    Mutant(
+        "CHAINDROP", "repro/openflow/fastpath.py",
+        "        self._chains.clear()\n",
+        "",
+        "chains",
+    ),
+    Mutant(
+        "DIGESTCACHE", "repro/openflow/switch.py",
+        "        if cached is None or cached[0] != generation:\n",
+        "        if cached is None:\n",
+        "digestcache",
+    ),
+    Mutant(
+        "DEFERKEY", "repro/openflow/deferred.py",
+        "        if first is None or priority > priorities[first]:\n",
+        "        if first is None or priority >= priorities[first]:\n",
+        "deferkey",
+    ),
+    Mutant(
+        "TABLEREAD", "repro/openflow/flowtable.py",
+        "        self._plan = None\n"
+        "\n"
+        "    @property\n"
+        "    def capacity",
+        "        self._plan = None\n"
+        "        self._version += 1\n"
+        "\n"
+        "    @property\n"
+        "    def capacity",
+        "lazytables",
+    ),
 )
 
 #: killer -> (command, the output line prefix that marks a real kill: a
@@ -247,6 +290,29 @@ KILLERS = {
          + "::TestDeferredReadIsNotAMutation"],
         "E       AssertionError: reading a deferred group moved",
     ),
+    "chains": (
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         str(ROOT / "tests" / "test_fastpath_invalidation.py")
+         + "::TestExplicitInvalidation::test_in_place_edit_plus_invalidate"],
+        "E       AssertionError: invalidate_fast_path left a stale",
+    ),
+    "digestcache": (
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         str(ROOT / "tests" / "test_switch_faults.py")
+         + "::TestReadopt::test_rebooted_switch_is_reprogrammed_to_fixed_point"],
+        "E       AssertionError: readopt did not converge",
+    ),
+    "deferkey": (
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         str(ROOT / "tests" / "test_deferred_tables.py")],
+        "E       AssertionError: declared index differs",
+    ),
+    "lazytables": (
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         str(ROOT / "tests" / "test_lazy_program.py")
+         + "::TestMaterialiseIsNotAMutation"],
+        "E       AssertionError: materialising a deferred table moved",
+    ),
 }
 
 
@@ -282,7 +348,7 @@ def main() -> int:
             return 1
         for killer in KILLERS:
             verdict = run_killer(killer, src)
-            print(f"clean tree   {killer:<10} {verdict}")
+            print(f"clean tree   {killer:<11} {verdict}")
             if verdict != "passes":
                 failures.append(f"{killer} fails on the unmutated tree")
         for mutant in MUTANTS:
@@ -293,7 +359,7 @@ def main() -> int:
                 verdict = run_killer(mutant.killer, src)
             finally:
                 path.write_text(original)
-            print(f"{mutant.rule:<9} {mutant.file:<28} {mutant.killer:<10} "
+            print(f"{mutant.rule:<11} {mutant.file:<28} {mutant.killer:<11} "
                   f"{verdict}")
             if verdict != "killed":
                 failures.append(f"{mutant.rule} mutant in {mutant.file}: {verdict}")

@@ -210,7 +210,9 @@ class TestExplicitInvalidation:
         entry.instructions = Instructions(apply_actions=(Output(3),))
         assert _ports(_process(switch)) == [1]  # stale, by design
         switch.invalidate_fast_path()
-        assert _ports(_process(switch)) == [3]
+        assert _ports(_process(switch)) == [3], (
+            "invalidate_fast_path left a stale compile or chain"
+        )
 
     def test_touch_is_equivalent_to_invalidate(self):
         switch = _switch()

@@ -1,15 +1,19 @@
 """A switch's program is built where a traversal reads it, and only there.
 
-Three parts of a compiled program wait for their first reader: a flow
-entry's index record (made on its key's first hit), a group's bucket
-closure (compiled on the bucket's first selection) and a sweep row's
-fast-failover group (built by the group table on its first read).  These
-tests pin how little a cold snapshot builds, that building a deferred group
-is not a program change, and that deferred groups load by the same
-duplicate-id rule as eager ones.
+Four parts of a compiled program wait for their first reader: a flow row
+(its match and entry, built by the deferred table on its key's first hit),
+the row's index record (made on the same hit), a group's bucket closure
+(compiled on the bucket's first selection) and a sweep row's fast-failover
+group (built by the group table on its first read).  These tests pin how
+little a cold snapshot and a cold-start cycle build, that building a
+deferred group or materialising a deferred table is not a program change,
+and that deferred groups load by the same duplicate-id rule as eager ones.
 """
 
 from __future__ import annotations
+
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +24,8 @@ from repro.net.simulator import Network
 from repro.net.topology import abilene, fat_tree
 from repro.openflow.actions import Instructions, Output
 from repro.openflow.errors import GroupError
+from repro.openflow import fastpath, flowtable, match
+from repro.openflow.deferred import DeferredTable
 from repro.openflow.fastpath import CompiledEntry, compile_table
 from repro.openflow.flowtable import FlowEntry, FlowTable
 from repro.openflow.group import (
@@ -48,17 +54,60 @@ def _records(fast) -> int:
     return made + (type(fast.residue) is CompiledEntry)
 
 
+class _Built:
+    """Counts the ``Match``, ``FlowEntry`` and ``CompiledEntry`` objects
+    made and the ready-made rows declared while it is entered."""
+
+    COUNTED = (
+        (match.Match, "__init__", "Match"),
+        (flowtable.FlowEntry, "__init__", "FlowEntry"),
+        (fastpath.CompiledEntry, "__init__", "CompiledEntry"),
+        (DeferredTable, "add_rule", "ready_made"),
+    )
+
+    def __init__(self) -> None:
+        self.counts: Counter = Counter()
+        self._saved: list = []
+
+    def __enter__(self) -> Counter:
+        for owner, name, label in self.COUNTED:
+            original = getattr(owner, name)
+            self._saved.append((owner, name, original))
+
+            def counted(*args, _original=original, _label=label, **kwargs):
+                self.counts[_label] += 1
+                return _original(*args, **kwargs)
+
+            setattr(owner, name, counted)
+        return self.counts
+
+    def __exit__(self, *exc) -> None:
+        for owner, name, original in self._saved:
+            setattr(owner, name, original)
+
+
 class TestColdSnapshotBuildsLittle:
     """One fat_tree(8) snapshot from root 0 on the fast path."""
 
     @pytest.fixture(scope="class")
-    def switches(self):
-        runtime = SmartSouthRuntime(
-            Network(fat_tree(8), fast_path=True), mode="compiled"
-        )
-        outcome = runtime.snapshot(0)
+    def cold(self):
+        with _Built() as built:
+            runtime = SmartSouthRuntime(
+                Network(fat_tree(8), fast_path=True), mode="compiled"
+            )
+            outcome = runtime.snapshot(0)
         assert len(outcome.nodes) == 80 and len(outcome.links) == 256
-        return runtime.engine_for(SnapshotService()).switches.values()
+        return runtime.engine_for(SnapshotService()).switches.values(), built
+
+    @pytest.fixture(scope="class")
+    def switches(self, cold):
+        return cold[0]
+
+    def test_rows_built_are_the_rows_hit(self, cold):
+        # An eager compile builds all 9 024 matches and entries.
+        _switches, built = cold
+        assert built["Match"] == built["FlowEntry"] == built["CompiledEntry"]
+        assert built["FlowEntry"] == 1824
 
     def test_groups_built_are_the_groups_run(self, switches):
         total = sum(len(switch.groups) for switch in switches)
@@ -145,6 +194,75 @@ class TestDeferredReadIsNotAMutation:
 
 def _recipe(group_id: int) -> DeferredFailoverGroup:
     return DeferredFailoverGroup(group_id, (1,), [(), (Output(1),)], (Output(9),))
+
+
+class TestMaterialiseIsNotAMutation:
+    """Materialising a deferred table (any reader but the fast path) builds
+    exactly the rows that were loaded: table versions, the program
+    generation, the fast path's compiles and the cached inventory digest
+    stay where they were."""
+
+    def _state(self, switch):
+        fast = switch.fast_path
+        return (
+            {table_id: table.version for table_id, table in switch.tables.items()},
+            switch.program_generation,
+            fast._generation,
+            dict(fast._tables),
+        )
+
+    def test_readers_move_nothing(self):
+        network = Network(abilene(), fast_path=True)
+        runtime = SmartSouthRuntime(network, mode="compiled")
+        runtime.snapshot(0)  # the fast path indexes and hits some rows
+        for switch in runtime.engine_for(SnapshotService()).switches.values():
+            assert any(table.deferred for table in switch.tables.values())
+            before = self._state(switch)
+            first = next(iter(switch.tables.values()))
+            list(first.entries())
+            assert self._state(switch) == before, (
+                "materialising a deferred table moved the program version"
+            )
+            digest = switch.inventory_digest()  # materialises the rest
+            cached = switch._digest
+            assert not any(table.deferred for table in switch.tables.values())
+            assert self._state(switch) == before, (
+                "materialising a deferred table moved the program version"
+            )
+            assert switch.inventory_digest() == digest
+            assert switch._digest is cached, (
+                "materialising a deferred table moved the program version"
+            )
+
+    def test_rows_hit_before_are_the_rows_materialised(self):
+        switch = compile_service(Network(abilene(), fast_path=True), 0, SnapshotService())
+        fast = switch.fast_path
+        fast._sync()
+        table = switch.tables[1]
+        record = fast._fast_table(1).lookup({"start": 0}, 0, 0)
+        assert record.entry in list(table.entries())
+        assert fast._fast_table(1).lookup({"start": 0}, 0, 0) is record, (
+            "materialising a deferred table moved the program version"
+        )
+
+
+class TestColdStartCycleBuildsTheRowsItHits:
+    """One seed-11 ``cold_start`` cycle of the end-to-end benchmark (five
+    services on four topologies, each op a fresh compile and one call)."""
+
+    def test_cycle(self, monkeypatch):
+        root = Path(__file__).resolve().parent.parent
+        monkeypatch.syspath_prepend(str(root / "benchmarks" / "e2e"))
+        import workloads
+
+        workloads.load_program("cold_start")
+        ops = workloads.ColdStart(11).cycle()
+        with _Built() as built:
+            for op in ops:
+                assert op.finish(op.run()).complaint is None, op.name
+        # An eager compile builds 172 778 entries and 162 338 matches here.
+        assert built["FlowEntry"] <= built["CompiledEntry"]
+        assert built["Match"] <= built["CompiledEntry"] + built["ready_made"]
 
 
 class TestDeferredLoadDuplicates:

@@ -321,7 +321,7 @@ class TestReadopt:
         victim.reboot()
         assert victim.tables == {}
         report = runtime.readopt()
-        assert report.converged
+        assert report.converged, "readopt did not converge on the rebooted switch"
         assert report.reprogrammed_nodes == [2]
         assert victim.inventory_digest() == self.expected_digest(runtime, 2)
 
